@@ -1,15 +1,16 @@
 //! Criterion bench for the `xtwig-service` serving layer: queries/sec
-//! through the worker pool at increasing worker counts, with the result
-//! cache off (every query executes) and on (steady-state hits).
+//! through `TwigService::execute` from increasing numbers of caller
+//! threads (the `Nw` label), with the result cache off (every query
+//! executes) and on (steady-state hits).
 //!
 //! Complements `fig_service`, which records absolute qps and cache hit
 //! rates as JSON; this bench tracks regressions in the serving hot path
-//! (submission, queueing, ticket resolution) under the stub harness.
+//! (admission, cache lookups, execution) under the stub harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
-use xtwig_bench::POOL_PAGES;
+use xtwig_bench::{fan_out, POOL_PAGES};
 use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig_datagen::{generate_xmark, Dataset, XmarkConfig};
 use xtwig_service::{ServiceOptions, TwigService};
@@ -53,7 +54,6 @@ fn bench_throughput(c: &mut Criterion) {
             let service = TwigService::over(
                 engine,
                 ServiceOptions {
-                    workers,
                     result_cache_capacity: if cached { 1024 } else { 0 },
                     ..Default::default()
                 },
@@ -64,15 +64,16 @@ fn bench_throughput(c: &mut Criterion) {
                 &queries,
                 |b, queries| {
                     b.iter(|| {
-                        let tickets: Vec<_> = queries
-                            .iter()
-                            .map(|t| service.submit(t, Strategy::RootPaths).unwrap())
-                            .collect();
-                        tickets.into_iter().map(|t| t.wait().unwrap().ids.len()).sum::<usize>()
+                        fan_out(queries, workers, |mine| {
+                            mine.iter()
+                                .map(|t| service.execute(t, Strategy::RootPaths).unwrap().ids.len())
+                                .collect()
+                        })
+                        .into_iter()
+                        .sum::<usize>()
                     })
                 },
             );
-            service.shutdown();
         }
     }
     group.finish();

@@ -24,35 +24,12 @@
 //! Flags: `--scale <f>` (default 0.01), `--quick` (smaller scale and
 //! fewer iterations — the CI smoke).
 
-use std::time::{Duration, Instant};
-use xtwig_bench::{host_parallelism, scale_from_args, xmark_forest, POOL_PAGES};
+use xtwig_bench::{
+    host_parallelism, scale_from_args, time_loop, xmark_forest, Timings, POOL_PAGES,
+};
 use xtwig_core::engine::EngineOptions;
 use xtwig_core::{parse_xpath, QueryEngine, Strategy};
 use xtwig_service::{Event, EventJournal, RequestCtx, ServiceOptions, TwigService};
-
-struct Row {
-    bench: String,
-    min_ns: u128,
-    mean_ns: u128,
-}
-
-/// Per-iteration wall times of `iters` runs of `f` after `warmup`
-/// untimed runs (caches hot, branch predictors settled), as (min, mean).
-fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let t = start.elapsed();
-        min = min.min(t);
-        total += t;
-    }
-    (min, total / iters as u32)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -87,40 +64,36 @@ fn main() {
     // threshold unset so `exec/plain` never captures a trace.
     let svc = TwigService::over(
         engine,
-        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let twig = parse_xpath("//person/name").expect("query parses");
     let expected = svc.execute(&twig, Strategy::RootPaths).expect("warm answer").ids.len();
     println!("query //person/name: {expected} result(s)");
 
-    let mut rows: Vec<Row> = Vec::new();
-    let mut record = |bench: String, min: Duration, mean: Duration| {
-        println!(
-            "{bench:<16} min {:>9.1} us   mean {:>9.1} us",
-            min.as_secs_f64() * 1e6,
-            mean.as_secs_f64() * 1e6
-        );
-        rows.push(Row { bench, min_ns: min.as_nanos(), mean_ns: mean.as_nanos() });
-    };
+    let mut timings = Timings::new("fig_events", iters, warmup);
 
     // The unsampled dispatch path — what every ordinary wire query pays.
     let plain_ctx = RequestCtx::default();
-    let (min, mean) = measure(warmup, iters, || {
-        let a = svc.execute_with(&twig, Strategy::RootPaths, &plain_ctx).expect("execute");
-        assert_eq!(a.ids.len(), expected);
-    });
-    record("exec/plain".into(), min, mean);
+    timings.record(
+        "exec/plain",
+        time_loop(warmup, iters, || {
+            let a = svc.execute_with(&twig, Strategy::RootPaths, &plain_ctx).expect("execute");
+            assert_eq!(a.ids.len(), expected);
+        }),
+    );
 
     // The opt-in path: sample=true re-executes traced and records into
     // the slow ring, so this row prices one sampled request end to end.
     let mut next_id = 1u64;
-    let (min, mean) = measure(warmup, iters, || {
-        let ctx = RequestCtx { request_id: next_id, sample: true, peer: "bench:0".to_owned() };
-        next_id += 1;
-        let a = svc.execute_with(&twig, Strategy::RootPaths, &ctx).expect("execute sampled");
-        assert_eq!(a.ids.len(), expected);
-    });
-    record("exec/sampled".into(), min, mean);
+    timings.record(
+        "exec/sampled",
+        time_loop(warmup, iters, || {
+            let ctx = RequestCtx { request_id: next_id, sample: true, peer: "bench:0".to_owned() };
+            next_id += 1;
+            let a = svc.execute_with(&twig, Strategy::RootPaths, &ctx).expect("execute sampled");
+            assert_eq!(a.ids.len(), expected);
+        }),
+    );
     assert!(
         svc.find_trace(next_id - 1).is_some(),
         "sampled request must leave a retrievable trace"
@@ -128,45 +101,26 @@ fn main() {
 
     // One journal append: the inline cost of every emitted event.
     let journal = EventJournal::new(256);
-    let (min, mean) = measure(warmup * 100, iters * 100, || {
-        journal.emit(Event::SlowQuery {
-            query: "//person/name".to_owned(),
-            micros: 1,
-            request_id: 1,
-            peer: "bench:0".to_owned(),
-        });
-    });
-    record("events/emit".into(), min, mean);
+    timings.record(
+        "events/emit",
+        time_loop(warmup * 100, iters * 100, || {
+            journal.emit(Event::SlowQuery {
+                query: "//person/name".to_owned(),
+                micros: 1,
+                request_id: 1,
+                peer: "bench:0".to_owned(),
+            });
+        }),
+    );
 
     // One cursor read over a full ring: an `Events` request's server cost.
-    let (min, mean) = measure(warmup, iters, || {
-        let page = journal.since(0, 256);
-        assert!(!page.is_empty());
-    });
-    record("events/since".into(), min, mean);
-
-    // Hand-rolled JSON (no serde in the offline build); `group`/`bench`/
-    // `min_ns` match the bench_check scanner.
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\n    \"group\": \"fig_events\",\n    \"bench\": \"{}\",\n    \
-                 \"min_ns\": {},\n    \"mean_ns\": {},\n    \"iters\": {iters},\n    \
-                 \"warmup\": {warmup}\n  }}",
-                r.bench, r.min_ns, r.mean_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"host_parallelism\": {cores},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        body.join(",\n"),
+    timings.record(
+        "events/since",
+        time_loop(warmup, iters, || {
+            let page = journal.since(0, 256);
+            assert!(!page.is_empty());
+        }),
     );
-    let out = std::path::Path::new("target/xtwig-results");
-    if std::fs::create_dir_all(out).is_ok() {
-        let path = out.join("fig_events.json");
-        let _ = std::fs::write(&path, &json);
-        println!("[results written to {}]", path.display());
-    }
+
+    timings.write(scale, &[]);
 }

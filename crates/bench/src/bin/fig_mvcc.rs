@@ -27,36 +27,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xtwig_bench::{host_parallelism, scale_from_args, xmark_forest, POOL_PAGES};
+use xtwig_bench::{
+    host_parallelism, scale_from_args, time_loop, xmark_forest, Timings, POOL_PAGES,
+};
 use xtwig_core::engine::EngineOptions;
 use xtwig_core::{parse_xpath, Strategy};
 use xtwig_service::{ServiceOptions, TwigService, UpdateOp};
 use xtwig_xml::TagId;
-
-struct Row {
-    bench: String,
-    min_ns: u128,
-    mean_ns: u128,
-}
-
-/// Per-iteration wall times of `iters` runs of `f` after `warmup`
-/// untimed runs (caches hot, branch predictors settled), as (min, mean).
-fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let t = start.elapsed();
-        min = min.min(t);
-        total += t;
-    }
-    (min, total / iters as u32)
-}
 
 /// The ops inserting one synthetic person (node ids derived from `k`)
 /// whose name leaf holds a unique value — every commit is a distinct
@@ -102,8 +79,8 @@ fn main() {
             ..Default::default()
         },
         // Result cache off: every reader latency sample is a real
-        // execution against the epoch the worker pinned.
-        ServiceOptions { workers: 2, result_cache_capacity: 0, ..Default::default() },
+        // execution against the epoch the caller pinned.
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     ));
     let tags: Vec<TagId> = svc.with_engine(|e| {
         let dict = e.forest().dict();
@@ -114,33 +91,29 @@ fn main() {
     });
     let twig = parse_xpath("//person/name").expect("query parses");
 
-    let mut rows: Vec<Row> = Vec::new();
-    let mut record = |bench: String, min: Duration, mean: Duration| {
-        println!(
-            "{bench:<20} min {:>9.1} us   mean {:>9.1} us",
-            min.as_secs_f64() * 1e6,
-            mean.as_secs_f64() * 1e6
-        );
-        rows.push(Row { bench, min_ns: min.as_nanos(), mean_ns: mean.as_nanos() });
-    };
+    let mut timings = Timings::new("fig_mvcc", iters, warmup);
 
     // Baseline: the reader stream with no maintenance anywhere.
-    let (min, mean) = measure(warmup, iters, || {
-        let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
-        assert!(!a.ids.is_empty());
-    });
-    record("reader/solo".into(), min, mean);
+    timings.record(
+        "reader/solo",
+        time_loop(warmup, iters, || {
+            let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
+            assert!(!a.ids.is_empty());
+        }),
+    );
 
     // One apply_update round trip: fork the epoch, apply, journal,
     // publish. This is the full writer-side commit cost. (No untimed
     // warmup: each commit mutates state, and the first fork is as real
     // a cost as the last.)
     let mut commit_k = 0u64;
-    let (min, mean) = measure(0, iters.min(200), || {
-        svc.apply_update(round_ops(&tags, commit_k));
-        commit_k += 1;
-    });
-    record("update/commit".into(), min, mean);
+    timings.record(
+        "update/commit",
+        time_loop(0, iters.min(200), || {
+            svc.apply_update(round_ops(&tags, commit_k));
+            commit_k += 1;
+        }),
+    );
 
     // The contended case: the writer publishes epochs continuously
     // while the reader streams the same workload. Snapshot isolation
@@ -163,20 +136,20 @@ fn main() {
     while commits.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now(); // writer warm before sampling
     }
-    let (min, mean) = measure(warmup, iters, || {
-        let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+    let contended = time_loop(warmup, iters, || {
+        let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!a.ids.is_empty());
     });
     stop.store(true, Ordering::SeqCst);
     let last_k = writer.join().unwrap();
-    record("reader/with_writer".into(), min, mean);
+    timings.record("reader/with_writer", contended);
     println!("writer committed {} updates during the contended window", last_k - commit_k + 1);
 
     // Lost-update check: every commit the writer made must be visible
     // now that its epoch is published (the bench doubles as a stress).
     for k in [0, commit_k.saturating_sub(1), last_k] {
         let probe = parse_xpath(&format!("//person[name='mvcc-writer-{k}']")).expect("probe");
-        let a = svc.submit(&probe, Strategy::RootPaths).unwrap().wait().unwrap();
+        let a = svc.execute(&probe, Strategy::RootPaths).unwrap();
         assert_eq!(
             a.ids.iter().copied().collect::<Vec<_>>(),
             vec![1_000_000 + 2 * k],
@@ -189,33 +162,5 @@ fn main() {
         stats.journal_ops, stats.updates, stats.generation
     );
 
-    // Hand-rolled JSON (no serde in the offline build); `group`/`bench`/
-    // `min_ns` match the bench_check scanner.
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\n    \"group\": \"fig_mvcc\",\n    \"bench\": \"{}\",\n    \
-                 \"min_ns\": {},\n    \"mean_ns\": {},\n    \"iters\": {iters},\n    \
-                 \"warmup\": {warmup}\n  }}",
-                r.bench, r.min_ns, r.mean_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"host_parallelism\": {cores},\n  \
-         \"updates\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        stats.updates,
-        body.join(",\n"),
-    );
-    let dir = std::path::Path::new("target/xtwig-results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("fig_mvcc.json");
-        let _ = std::fs::write(&path, &json);
-        println!("[results written to {}]", path.display());
-    }
-    match Arc::try_unwrap(svc) {
-        Ok(svc) => svc.shutdown(),
-        Err(_) => unreachable!("all threads joined"),
-    }
+    timings.write(scale, &[("updates", stats.updates)]);
 }

@@ -27,36 +27,13 @@
 //! fewer iterations — the CI smoke).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xtwig_bench::{host_parallelism, scale_from_args, xmark_forest, POOL_PAGES};
+use xtwig_bench::{
+    host_parallelism, scale_from_args, time_loop, xmark_forest, Timings, POOL_PAGES,
+};
 use xtwig_core::engine::EngineOptions;
 use xtwig_core::{parse_xpath, QueryEngine, Strategy};
 use xtwig_net::{Client, Server};
 use xtwig_service::{Catalog, CatalogOptions, ServiceOptions};
-
-struct Row {
-    bench: String,
-    min_ns: u128,
-    mean_ns: u128,
-}
-
-/// Per-iteration wall times of `iters` runs of `f` after `warmup`
-/// untimed runs (caches hot, branch predictors settled), as (min, mean).
-fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let t = start.elapsed();
-        min = min.min(t);
-        total += t;
-    }
-    (min, total / iters as u32)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -98,7 +75,7 @@ fn main() {
     // Result cache off: every sample through either door is a real
     // execution, so the wire/inproc gap is transport, not cache luck.
     let catalog = Arc::new(Catalog::new(CatalogOptions {
-        service: ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+        service: ServiceOptions { result_cache_capacity: 0, ..Default::default() },
         ..Default::default()
     }));
     catalog.register("xmark", dir.join("xmark.xtwig"));
@@ -118,63 +95,38 @@ fn main() {
         .collect();
     println!("query //person/name: {} result(s)", expected.len());
 
-    let mut rows: Vec<Row> = Vec::new();
-    let mut record = |bench: String, min: Duration, mean: Duration| {
-        println!(
-            "{bench:<16} min {:>9.1} us   mean {:>9.1} us",
-            min.as_secs_f64() * 1e6,
-            mean.as_secs_f64() * 1e6
-        );
-        rows.push(Row { bench, min_ns: min.as_nanos(), mean_ns: mean.as_nanos() });
-    };
+    let mut timings = Timings::new("fig_net", iters, warmup);
 
     // Baseline: the dispatch path a connection thread runs, minus the
     // socket — direct execution on this thread.
-    let (min, mean) = measure(warmup, iters, || {
-        let a = svc.execute(&twig, Strategy::RootPaths).expect("execute");
-        assert_eq!(a.ids.len(), expected.len());
-    });
-    record("inproc/query".into(), min, mean);
+    timings.record(
+        "inproc/query",
+        time_loop(warmup, iters, || {
+            let a = svc.execute(&twig, Strategy::RootPaths).expect("execute");
+            assert_eq!(a.ids.len(), expected.len());
+        }),
+    );
 
     // The transport floor: an empty protocol round trip.
-    let (min, mean) = measure(warmup, iters, || {
-        client.ping().expect("ping");
-    });
-    record("wire/ping".into(), min, mean);
+    timings.record(
+        "wire/ping",
+        time_loop(warmup, iters, || {
+            client.ping().expect("ping");
+        }),
+    );
 
     // The full wire round trip, answer identity asserted every time.
-    let (min, mean) = measure(warmup, iters, || {
-        let a = client.query("xmark", "//person/name", "RP").expect("wire query");
-        assert_eq!(a.ids, expected, "wire answer drifted from in-process");
-    });
-    record("wire/query".into(), min, mean);
+    timings.record(
+        "wire/query",
+        time_loop(warmup, iters, || {
+            let a = client.query("xmark", "//person/name", "RP").expect("wire query");
+            assert_eq!(a.ids, expected, "wire answer drifted from in-process");
+        }),
+    );
 
     client.shutdown().expect("graceful shutdown");
     server_thread.join().expect("server thread").expect("server run");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Hand-rolled JSON (no serde in the offline build); `group`/`bench`/
-    // `min_ns` match the bench_check scanner.
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\n    \"group\": \"fig_net\",\n    \"bench\": \"{}\",\n    \
-                 \"min_ns\": {},\n    \"mean_ns\": {},\n    \"iters\": {iters},\n    \
-                 \"warmup\": {warmup}\n  }}",
-                r.bench, r.min_ns, r.mean_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"host_parallelism\": {cores},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        body.join(",\n"),
-    );
-    let out = std::path::Path::new("target/xtwig-results");
-    if std::fs::create_dir_all(out).is_ok() {
-        let path = out.join("fig_net.json");
-        let _ = std::fs::write(&path, &json);
-        println!("[results written to {}]", path.display());
-    }
+    timings.write(scale, &[]);
 }

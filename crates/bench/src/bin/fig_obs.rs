@@ -2,14 +2,15 @@
 //! ROADMAP's observability item): what span tracing costs when it is
 //! on, and that it costs nothing when it is off.
 //!
-//! The engine keeps two copies of the executor: `answer_compiled_with`
-//! runs the original, byte-untouched `execute`, and
-//! `answer_compiled_traced` runs the instrumented twin that opens a
-//! span per pipeline stage. Tracing-off overhead is therefore zero *by
-//! construction* — the untraced path contains no tracing branches at
-//! all — and this figure measures the remaining question: the cost of
-//! the traced path itself, which `explain --analyze`, the slow-query
-//! log, and `advise` all pay.
+//! The engine has one executor body, generic over a tracer:
+//! `answer_compiled_with` runs it with the no-op `NoTrace`, whose hooks
+//! are all empty, and `answer_compiled_traced` runs it with a `Trace`
+//! that opens a span per pipeline stage. Tracing-off overhead is
+//! therefore zero *by construction* — the untraced instance compiles
+//! no tracing work at all — and this figure measures the remaining
+//! question: the cost of the traced path itself, which
+//! `explain --analyze`, the slow-query log, and `advise` all pay. The
+//! `*/off` rows also guard the untraced instance against regressions.
 //!
 //! Both workloads interleave off/on samples (so frequency scaling and
 //! cache state hit both sides equally) and assert after every pair
@@ -25,21 +26,9 @@
 //! fewer iterations — the CI smoke).
 
 use std::time::{Duration, Instant};
-use xtwig_bench::{engine, host_parallelism, scale_from_args, xmark_forest};
+use xtwig_bench::{engine, host_parallelism, min_mean, scale_from_args, xmark_forest, Timings};
 use xtwig_core::engine::Strategy;
 use xtwig_core::{parse_xpath, Trace};
-
-struct Row {
-    bench: String,
-    min_ns: u128,
-    mean_ns: u128,
-}
-
-fn min_mean(samples: &[Duration]) -> (Duration, Duration) {
-    let min = samples.iter().copied().min().unwrap_or(Duration::ZERO);
-    let total: Duration = samples.iter().sum();
-    (min, total / samples.len().max(1) as u32)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -69,7 +58,7 @@ fn main() {
         ("twig", "/site//item[quantity = '2']/location", Strategy::Edge),
     ];
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut timings = Timings::new("fig_obs", iters, warmup);
     for (name, xpath, strategy) in workloads {
         let twig = parse_xpath(xpath).expect("workload query parses");
         let (compiled, plan) = engine.compile(&twig).expect("workload tags exist");
@@ -114,44 +103,13 @@ fn main() {
             on_min.as_secs_f64() * 1e6,
             on_mean.as_secs_f64() * 1e6,
         );
-        rows.push(Row {
-            bench: format!("{name}/off"),
-            min_ns: off_min.as_nanos(),
-            mean_ns: off_mean.as_nanos(),
-        });
-        rows.push(Row {
-            bench: format!("{name}/on"),
-            min_ns: on_min.as_nanos(),
-            mean_ns: on_mean.as_nanos(),
-        });
+        timings.record(format!("{name}/off"), (off_min, off_mean));
+        timings.record(format!("{name}/on"), (on_min, on_mean));
     }
     println!(
-        "tracing-off overhead: 0% by construction — the untraced path is the \
-         original `execute`, with no tracing branches compiled into it"
+        "tracing-off overhead: 0% by construction — the untraced path runs \
+         `execute` with the empty `NoTrace` hooks, so no tracing work is compiled into it"
     );
 
-    // Hand-rolled JSON (no serde in the offline build); `group`/`bench`/
-    // `min_ns` match the bench_check scanner.
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\n    \"group\": \"fig_obs\",\n    \"bench\": \"{}\",\n    \
-                 \"min_ns\": {},\n    \"mean_ns\": {},\n    \"iters\": {iters},\n    \
-                 \"warmup\": {warmup}\n  }}",
-                r.bench, r.min_ns, r.mean_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"host_parallelism\": {cores},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        body.join(",\n"),
-    );
-    let dir = std::path::Path::new("target/xtwig-results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("fig_obs.json");
-        let _ = std::fs::write(&path, &json);
-        println!("[results written to {}]", path.display());
-    }
+    timings.write(scale, &[]);
 }

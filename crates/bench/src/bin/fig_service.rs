@@ -1,6 +1,7 @@
 //! `fig_service` — serving-layer scaling figure (no paper counterpart;
 //! the ROADMAP's production north star): queries/sec through
-//! `xtwig-service` vs. worker count, result cache off and on, plus a
+//! `xtwig-service` vs. the number of caller threads dispatching at once
+//! (the `workers` column), result cache off and on, plus a
 //! batched-execution row, at XMark scale.
 //!
 //! Every configuration's answers are checked byte-for-byte against
@@ -11,7 +12,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
-use xtwig_bench::{scale_from_args, POOL_PAGES};
+use xtwig_bench::{fan_out, scale_from_args, POOL_PAGES};
 use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig_datagen::{generate_xmark, Dataset, XmarkConfig};
 use xtwig_service::{ServiceOptions, SharedEngine, TwigService};
@@ -95,7 +96,6 @@ fn main() {
             let service = TwigService::over(
                 build_engine(&forest),
                 ServiceOptions {
-                    workers,
                     result_cache_capacity: if cache { 4096 } else { 0 },
                     ..Default::default()
                 },
@@ -105,15 +105,15 @@ fn main() {
             // dominates on small hosts). Cache-hit rates are computed
             // from post-warm-up deltas so they reflect steady state.
             for (t, s) in &stream {
-                let _ = service.submit(t, *s).unwrap().wait().unwrap();
+                let _ = service.execute(t, *s).unwrap();
             }
             let warm = service.stats();
             let mut elapsed = None;
             for _ in 0..3 {
                 let start = Instant::now();
-                let tickets: Vec<_> =
-                    stream.iter().map(|(t, s)| service.submit(t, *s).unwrap()).collect();
-                let answers: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+                let answers = fan_out(&stream, workers, |chunk| {
+                    chunk.iter().map(|(t, s)| service.execute(t, *s).unwrap()).collect()
+                });
                 let pass = start.elapsed();
                 if elapsed.is_none_or(|best| pass < best) {
                     elapsed = Some(pass);
@@ -155,7 +155,6 @@ fn main() {
                 memo_hits: stats.memo_hits,
                 memo_misses: stats.memo_misses,
             });
-            service.shutdown();
         }
     }
 
@@ -163,7 +162,7 @@ fn main() {
     {
         let service = TwigService::over(
             build_engine(&forest),
-            ServiceOptions { workers: 4, result_cache_capacity: 0, ..Default::default() },
+            ServiceOptions { result_cache_capacity: 0, ..Default::default() },
         );
         let rp_stream: Vec<TwigPattern> =
             (0..twigs.len() * REPS).map(|i| twigs[i % twigs.len()].clone()).collect();
@@ -171,11 +170,12 @@ fn main() {
             rp_stream.iter().map(|t| serialize(&e.answer(t, Strategy::RootPaths).ids)).collect()
         });
         let start = Instant::now();
-        let tickets: Vec<_> = rp_stream
-            .chunks(32)
-            .map(|chunk| service.submit_batch(chunk, Strategy::RootPaths).unwrap())
-            .collect();
-        let answers: Vec<_> = tickets.into_iter().flat_map(|t| t.wait().unwrap()).collect();
+        let batches: Vec<&[TwigPattern]> = rp_stream.chunks(32).collect();
+        let answers = fan_out(&batches, 4, |mine| {
+            mine.iter()
+                .flat_map(|b| service.execute_batch(b, Strategy::RootPaths).unwrap())
+                .collect()
+        });
         let elapsed = start.elapsed();
         for (i, a) in answers.iter().enumerate() {
             assert_eq!(serialize(&a.ids), rp_baseline[i], "batch answer {i} diverged");
@@ -200,7 +200,6 @@ fn main() {
             memo_hits: stats.memo_hits,
             memo_misses: stats.memo_misses,
         });
-        service.shutdown();
     }
 
     let speedup = |cache: bool, from: usize, to: usize| -> f64 {

@@ -238,6 +238,108 @@ pub fn dump_json(name: &str, rows: &[Measurement]) {
     println!("\n[results written to {}]", path.display());
 }
 
+/// Wall times of `iters` runs of `f` after `warmup` untimed runs
+/// (caches hot, branch predictors settled), as (min, mean).
+pub fn time_loop(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
+    for _ in 0..warmup {
+        f();
+    }
+    let mut samples = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let start = Instant::now();
+        f();
+        samples.push(start.elapsed());
+    }
+    min_mean(&samples)
+}
+
+/// (min, mean) of a set of wall-time samples; zero when empty.
+pub fn min_mean(samples: &[Duration]) -> (Duration, Duration) {
+    let min = samples.iter().copied().min().unwrap_or(Duration::ZERO);
+    let total: Duration = samples.iter().sum();
+    (min, total / samples.len().max(1) as u32)
+}
+
+/// Timing rows of one figure, written as the `group`/`bench`/`min_ns`
+/// results file `bench_check` gates (`target/xtwig-results/<group>.json`).
+pub struct Timings {
+    group: &'static str,
+    iters: usize,
+    warmup: usize,
+    rows: Vec<(String, Duration, Duration)>,
+}
+
+impl Timings {
+    /// An empty table for `group`; `iters`/`warmup` are recorded with
+    /// every row.
+    pub fn new(group: &'static str, iters: usize, warmup: usize) -> Self {
+        Timings { group, iters, warmup, rows: Vec::new() }
+    }
+
+    /// Prints and keeps one row.
+    pub fn record(&mut self, bench: impl Into<String>, (min, mean): (Duration, Duration)) {
+        let bench = bench.into();
+        println!(
+            "{bench:<20} min {:>9.1} us   mean {:>9.1} us",
+            min.as_secs_f64() * 1e6,
+            mean.as_secs_f64() * 1e6
+        );
+        self.rows.push((bench, min, mean));
+    }
+
+    /// Writes the results file: `scale`, the host's parallelism, the
+    /// `extra` top-level counters, then the rows.
+    pub fn write(&self, scale: f64, extra: &[(&str, u64)]) {
+        let body: Vec<String> = self
+            .rows
+            .iter()
+            .map(|(bench, min, mean)| {
+                format!(
+                    "  {{\n    \"group\": \"{}\",\n    \"bench\": \"{}\",\n    \
+                     \"min_ns\": {},\n    \"mean_ns\": {},\n    \"iters\": {},\n    \
+                     \"warmup\": {}\n  }}",
+                    self.group,
+                    json_escape(bench),
+                    min.as_nanos(),
+                    mean.as_nanos(),
+                    self.iters,
+                    self.warmup
+                )
+            })
+            .collect();
+        let extra: String = extra.iter().map(|(k, v)| format!("  \"{k}\": {v},\n")).collect();
+        let json = format!(
+            "{{\n  \"scale\": {scale},\n  \"host_parallelism\": {},\n{extra}  \
+             \"results\": [\n{}\n  ]\n}}\n",
+            host_parallelism(),
+            body.join(",\n"),
+        );
+        let dir = std::path::Path::new("target/xtwig-results");
+        if std::fs::create_dir_all(dir).is_ok() {
+            let path = dir.join(format!("{}.json", self.group));
+            let _ = std::fs::write(&path, &json);
+            println!("[results written to {}]", path.display());
+        }
+    }
+}
+
+/// Splits `items` into `threads` contiguous slices, answers each on its
+/// own scoped caller thread with `answer`, and returns the answers in
+/// `items` order.
+pub fn fan_out<T: Sync, A: Send>(
+    items: &[T],
+    threads: usize,
+    answer: impl Fn(&[T]) -> Vec<A> + Sync,
+) -> Vec<A> {
+    let per_thread = items.len().div_ceil(threads.max(1)).max(1);
+    let answer = &answer;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            items.chunks(per_thread).map(|chunk| scope.spawn(move || answer(chunk))).collect();
+        handles.into_iter().flat_map(|h| h.join().expect("caller thread panicked")).collect()
+    })
+}
+
 /// Megabyte formatting helper.
 pub fn mb(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)

@@ -32,7 +32,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xtwig_obs::{SpanCounters, Trace};
+use xtwig_obs::{SpanCounters, SpanToken, Trace};
 use xtwig_opt::{CalibrationLog, CalibrationSample};
 use xtwig_storage::{BufferPool, IoStatsSnapshot, PoolCounters};
 use xtwig_xml::{NodeId, TagId, TwigPattern, XmlForest};
@@ -619,31 +619,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         strategy: Strategy,
         memo: Option<&mut ProbeMemo>,
     ) -> QueryAnswer {
-        // Auto resolves to a concrete strategy before any index (or
-        // metric counter) is touched.
-        let strategy = self.resolve_strategy(strategy, compiled, plan);
-        let before = self.snapshot(strategy);
-        self.drain_baseline_counters(strategy);
-        let start = Instant::now();
-        let mut probes = 0u64;
-        let mut rows_fetched = 0u64;
-        let ids = self.execute(compiled, plan, strategy, &mut probes, &mut rows_fetched, memo);
-        let elapsed = start.elapsed();
-        probes += self.drain_baseline_counters(strategy);
-        let after = self.snapshot(strategy);
-        let delta = after.since(&before);
-        QueryAnswer {
-            ids,
-            plan: plan.kind,
-            strategy,
-            metrics: QueryMetrics {
-                probes,
-                rows_fetched,
-                logical_reads: delta.logical_reads,
-                physical_reads: delta.physical_reads,
-                elapsed,
-            },
-        }
+        self.run_compiled(compiled, plan, strategy, memo, NoTrace)
     }
 
     /// [`QueryEngine::answer`] with pipeline tracing: returns the
@@ -654,12 +630,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// and rows.
     ///
     /// The result and counter totals are identical to
-    /// [`QueryEngine::answer`] (pinned by the `observability` suite);
-    /// the untraced path shares none of the instrumentation — it
-    /// executes the exact pre-tracing code — so tracing *off* costs
-    /// nothing. Tracing *on* additionally ranks the strategy menu to
-    /// capture the cost model's estimate and records one
-    /// [`CalibrationSample`] into [`QueryEngine::calibration_log`].
+    /// [`QueryEngine::answer`] (pinned by the `observability` suite):
+    /// both run the one executor body, and the untraced instance's
+    /// tracing hooks are empty, so tracing *off* costs nothing. Tracing
+    /// *on* additionally ranks the strategy menu to capture the cost
+    /// model's estimate and records one [`CalibrationSample`] into
+    /// [`QueryEngine::calibration_log`].
     ///
     /// # Panics
     /// Panics if the strategy's structures were not built.
@@ -710,68 +686,36 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         memo: Option<&mut ProbeMemo>,
         trace: &mut Trace,
     ) -> QueryAnswer {
-        let requested = strategy;
-        let r = trace.begin("resolve", "");
-        let strategy = self.resolve_strategy(strategy, compiled, plan);
-        let est_reads = self
-            .rank_strategies(compiled, plan)
-            .into_iter()
-            .find(|c| c.strategy == strategy)
-            .map(|c| c.est_page_reads);
-        if requested == Strategy::Auto {
-            trace.annotate(r, format!("auto\u{2192}{}", strategy.label()));
-        } else {
-            trace.annotate(r, strategy.label());
-        }
-        trace.end(r, SpanCounters::default());
+        self.run_compiled(compiled, plan, strategy, memo, trace)
+    }
 
-        let e = trace.begin("execute", strategy.label());
+    /// The execution back half both answer paths share: resolve the
+    /// strategy, run [`QueryEngine::execute`], and measure the run.
+    fn run_compiled<T: StepTracer>(
+        &self,
+        compiled: &CompiledTwig,
+        plan: &QueryPlan,
+        requested: Strategy,
+        memo: Option<&mut ProbeMemo>,
+        mut tracer: T,
+    ) -> QueryAnswer {
+        // Auto resolves to a concrete strategy before any index (or
+        // metric counter) is touched.
+        let resolving = tracer.resolve_begin();
+        let strategy = self.resolve_strategy(requested, compiled, plan);
+        let run = tracer.resolved(resolving, self, requested, strategy, compiled, plan);
         let before = self.snapshot(strategy);
         self.drain_baseline_counters(strategy);
         let start = Instant::now();
-        let mut probes = 0u64;
-        let mut rows_fetched = 0u64;
-        let ids = self.execute_traced(
-            compiled,
-            plan,
-            strategy,
-            &mut probes,
-            &mut rows_fetched,
-            memo,
-            trace,
-        );
-        let elapsed = start.elapsed();
-        probes += self.drain_baseline_counters(strategy);
-        let after = self.snapshot(strategy);
-        let delta = after.since(&before);
-        trace.end(
-            e,
-            SpanCounters {
-                logical_reads: delta.logical_reads,
-                physical_reads: delta.physical_reads,
-                probes,
-                rows: rows_fetched,
-            },
-        );
-        self.calibration.record(CalibrationSample {
-            shape: twig_shape(&compiled.twig),
-            strategy,
-            est_reads: est_reads.unwrap_or(0.0),
-            actual_reads: delta.physical_reads,
-            micros: elapsed.as_micros() as u64,
-        });
-        QueryAnswer {
-            ids,
-            plan: plan.kind,
-            strategy,
-            metrics: QueryMetrics {
-                probes,
-                rows_fetched,
-                logical_reads: delta.logical_reads,
-                physical_reads: delta.physical_reads,
-                elapsed,
-            },
-        }
+        let mut metrics = QueryMetrics::default();
+        let ids = self.execute(compiled, plan, strategy, memo, &mut metrics, &mut tracer);
+        metrics.elapsed = start.elapsed();
+        metrics.probes += self.drain_baseline_counters(strategy);
+        let delta = self.snapshot(strategy).since(&before);
+        metrics.logical_reads = delta.logical_reads;
+        metrics.physical_reads = delta.physical_reads;
+        tracer.executed(run, self, compiled, strategy, &metrics);
+        QueryAnswer { ids, plan: plan.kind, strategy, metrics }
     }
 
     /// Answers a batch of twigs against one strategy, deduplicating
@@ -826,14 +770,18 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         needed
     }
 
-    fn execute(
+    /// The executor: runs `plan`'s steps (index probe, structural join,
+    /// or INLJ extension) and projects the output node's ids, adding
+    /// probes and fetched rows to `metrics`. `tracer` observes each
+    /// step; with [`NoTrace`] every hook is empty and compiles away.
+    fn execute<T: StepTracer>(
         &self,
         compiled: &CompiledTwig,
         plan: &QueryPlan,
         strategy: Strategy,
-        probes: &mut u64,
-        rows_fetched: &mut u64,
         mut memo: Option<&mut ProbeMemo>,
+        metrics: &mut QueryMetrics,
+        tracer: &mut T,
     ) -> BTreeSet<u64> {
         let n = compiled.twig.len();
         let use_inlj = plan.kind == PlanKind::IndexNestedLoop
@@ -846,18 +794,22 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let mut rows: Vec<Row> = Vec::new();
         for (i, step) in plan.steps.iter().enumerate() {
             let sp = &compiled.subpaths[step.subpath];
+            let observed = tracer.step_begin(self, strategy, metrics);
+            let how;
             if i == 0 {
                 let (matches, full) = self.eval_free_memo(
                     strategy,
                     &sp.q,
                     interior_needed(sp),
-                    probes,
+                    &mut metrics.probes,
                     memo.as_deref_mut(),
                 );
-                *rows_fetched += matches.len() as u64;
+                metrics.rows_fetched += matches.len() as u64;
                 rows = self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
+                how = "probe";
             } else {
                 if rows.is_empty() {
+                    tracer.step_skipped(observed, i);
                     return BTreeSet::new();
                 }
                 // A branch is a pure existence filter when none of the
@@ -875,19 +827,28 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     && step.probe.as_ref().is_some_and(|p| self.probe_head_allowed(compiled, p));
                 if probe_ok {
                     let probe = step.probe.as_ref().unwrap();
-                    rows = self.inlj_extend(compiled, rows, probe, semi, probes, rows_fetched);
+                    rows = self.inlj_extend(
+                        compiled,
+                        rows,
+                        probe,
+                        semi,
+                        &mut metrics.probes,
+                        &mut metrics.rows_fetched,
+                    );
+                    how = if semi { "inlj semi-join" } else { "inlj" };
                 } else {
                     let (matches, full) = self.eval_free_memo(
                         strategy,
                         &sp.q,
                         interior_needed(sp),
-                        probes,
+                        &mut metrics.probes,
                         memo.as_deref_mut(),
                     );
-                    *rows_fetched += matches.len() as u64;
+                    metrics.rows_fetched += matches.len() as u64;
                     let new_rows =
                         self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
-                    rows = self.join(rows, new_rows, join, semi, probes);
+                    rows = self.join(rows, new_rows, join, semi, &mut metrics.probes);
+                    how = if semi { "semi-join" } else { "join" };
                 }
             }
             // Early projection + duplicate elimination: existence
@@ -895,116 +856,13 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             // relational engine would run these joins as semi-joins).
             // Keep only bindings that later steps or the output consume.
             self.project_rows(compiled, plan, i, &mut rows);
+            tracer.step_end(observed, self, strategy, (i, step.subpath, how), metrics);
         }
         let out = compiled.twig.output;
-        rows.into_iter().map(|r| r.bind[out]).filter(|&id| id != UNBOUND).collect()
-    }
-
-    /// Instrumented copy of [`QueryEngine::execute`]: the identical
-    /// algorithm, plus a `step` span per plan step (with per-step
-    /// buffer-pool and probe deltas) and a `materialize` span around
-    /// the final output projection.
-    ///
-    /// Kept as a separate body — rather than branching on a tracing
-    /// flag inside `execute` — so the untraced hot path carries zero
-    /// instrumentation cost; the `observability` suite pins result
-    /// identity between the two across every strategy.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_traced(
-        &self,
-        compiled: &CompiledTwig,
-        plan: &QueryPlan,
-        strategy: Strategy,
-        probes: &mut u64,
-        rows_fetched: &mut u64,
-        mut memo: Option<&mut ProbeMemo>,
-        trace: &mut Trace,
-    ) -> BTreeSet<u64> {
-        let n = compiled.twig.len();
-        let use_inlj = plan.kind == PlanKind::IndexNestedLoop
-            && strategy == Strategy::DataPaths
-            && self.dp.is_some();
-        let needed = self.needed_nodes(compiled, plan);
-        let interior_needed = |sp: &crate::decompose::SubpathSpec| {
-            sp.nodes[..sp.nodes.len() - 1].iter().any(|n| needed.contains(n))
-        };
-        let mut rows: Vec<Row> = Vec::new();
-        for (i, step) in plan.steps.iter().enumerate() {
-            let sp = &compiled.subpaths[step.subpath];
-            let io_before = self.snapshot(strategy);
-            let probes_before = *probes;
-            let fetched_before = *rows_fetched;
-            let t = trace.begin("step", String::new());
-            let how;
-            if i == 0 {
-                let (matches, full) = self.eval_free_memo(
-                    strategy,
-                    &sp.q,
-                    interior_needed(sp),
-                    probes,
-                    memo.as_deref_mut(),
-                );
-                *rows_fetched += matches.len() as u64;
-                rows = self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
-                how = "probe";
-            } else {
-                if rows.is_empty() {
-                    trace.annotate(t, format!("#{i} skipped: empty input"));
-                    trace.end(t, SpanCounters::default());
-                    return BTreeSet::new();
-                }
-                let (keep, _) = self.keep_after(compiled, plan, i);
-                let join = step.join.as_ref().expect("non-first steps carry joins");
-                let already: HashSet<usize> = match join {
-                    JoinHow::SharedNode { shared, .. } => shared.iter().copied().collect(),
-                    JoinHow::AncestorOf { .. } | JoinHow::DescendantBound { .. } => HashSet::new(),
-                };
-                let semi =
-                    sp.nodes.iter().all(|node| already.contains(node) || !keep.contains(node));
-                let probe_ok = use_inlj
-                    && step.probe.as_ref().is_some_and(|p| self.probe_head_allowed(compiled, p));
-                if probe_ok {
-                    let probe = step.probe.as_ref().unwrap();
-                    rows = self.inlj_extend(compiled, rows, probe, semi, probes, rows_fetched);
-                    how = if semi { "inlj semi-join" } else { "inlj" };
-                } else {
-                    let (matches, full) = self.eval_free_memo(
-                        strategy,
-                        &sp.q,
-                        interior_needed(sp),
-                        probes,
-                        memo.as_deref_mut(),
-                    );
-                    *rows_fetched += matches.len() as u64;
-                    let new_rows =
-                        self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
-                    rows = self.join(rows, new_rows, join, semi, probes);
-                    how = if semi { "semi-join" } else { "join" };
-                }
-            }
-            self.project_rows(compiled, plan, i, &mut rows);
-            // Attribute the Edge family's deferred lookup counters to
-            // the step that issued them; the wrapper's final drain then
-            // collects nothing, so the query total matches the
-            // untraced path exactly.
-            *probes += self.drain_baseline_counters(strategy);
-            let io = self.snapshot(strategy).since(&io_before);
-            trace.annotate(t, format!("#{i} subpath {} {how}", step.subpath));
-            trace.end(
-                t,
-                SpanCounters {
-                    logical_reads: io.logical_reads,
-                    physical_reads: io.physical_reads,
-                    probes: *probes - probes_before,
-                    rows: *rows_fetched - fetched_before,
-                },
-            );
-        }
-        let m = trace.begin("materialize", format!("output node {}", compiled.twig.output));
-        let out = compiled.twig.output;
+        let materializing = tracer.materialize_begin(out);
         let ids: BTreeSet<u64> =
             rows.into_iter().map(|r| r.bind[out]).filter(|&id| id != UNBOUND).collect();
-        trace.end(m, SpanCounters { rows: ids.len() as u64, ..SpanCounters::default() });
+        tracer.materialized(materializing, ids.len());
         ids
     }
 
@@ -1529,6 +1387,238 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             }
         }
         out
+    }
+}
+
+/// Observation hooks of the one executor body
+/// ([`QueryEngine::execute`], run by `run_compiled`). [`NoTrace`] keeps
+/// every hook empty, so the untraced instance compiles to the bare
+/// algorithm; `&mut Trace` records the `resolve`, `execute`, `step`,
+/// and `materialize` spans. Everything only tracing needs — pool
+/// snapshots, per-step counter drains, span details, the cost model's
+/// estimate, the calibration sample — lives inside these hooks.
+trait StepTracer {
+    /// An open span (`resolve` or `materialize`).
+    type Span;
+    /// What a run carries from `resolved` to `executed`.
+    type Run;
+    /// What one plan step carries from `step_begin` to its end.
+    type Step;
+
+    /// Strategy resolution is about to start.
+    fn resolve_begin(&mut self) -> Self::Span;
+
+    /// `requested` resolved to `strategy`; execution is about to start.
+    fn resolved<F: Borrow<XmlForest>>(
+        &mut self,
+        span: Self::Span,
+        engine: &QueryEngine<F>,
+        requested: Strategy,
+        strategy: Strategy,
+        compiled: &CompiledTwig,
+        plan: &QueryPlan,
+    ) -> Self::Run;
+
+    /// Execution finished with the run's final `metrics`.
+    fn executed<F: Borrow<XmlForest>>(
+        &mut self,
+        run: Self::Run,
+        engine: &QueryEngine<F>,
+        compiled: &CompiledTwig,
+        strategy: Strategy,
+        metrics: &QueryMetrics,
+    );
+
+    /// A plan step is about to run; `metrics` holds the totals so far.
+    fn step_begin<F: Borrow<XmlForest>>(
+        &mut self,
+        engine: &QueryEngine<F>,
+        strategy: Strategy,
+        metrics: &QueryMetrics,
+    ) -> Self::Step;
+
+    /// Step `i` had no input rows, so execution stops with no answer.
+    fn step_skipped(&mut self, step: Self::Step, i: usize);
+
+    /// Step `label.0` over subpath `label.1` ran as `label.2`.
+    fn step_end<F: Borrow<XmlForest>>(
+        &mut self,
+        step: Self::Step,
+        engine: &QueryEngine<F>,
+        strategy: Strategy,
+        label: (usize, usize, &'static str),
+        metrics: &mut QueryMetrics,
+    );
+
+    /// The output node's ids are about to be collected.
+    fn materialize_begin(&mut self, output: usize) -> Self::Span;
+
+    /// `ids` distinct output ids were collected.
+    fn materialized(&mut self, span: Self::Span, ids: usize);
+}
+
+/// The untraced executor's tracer: every hook is empty.
+struct NoTrace;
+
+impl StepTracer for NoTrace {
+    type Span = ();
+    type Run = ();
+    type Step = ();
+
+    fn resolve_begin(&mut self) {}
+
+    fn resolved<F: Borrow<XmlForest>>(
+        &mut self,
+        _: (),
+        _: &QueryEngine<F>,
+        _: Strategy,
+        _: Strategy,
+        _: &CompiledTwig,
+        _: &QueryPlan,
+    ) {
+    }
+
+    fn executed<F: Borrow<XmlForest>>(
+        &mut self,
+        _: (),
+        _: &QueryEngine<F>,
+        _: &CompiledTwig,
+        _: Strategy,
+        _: &QueryMetrics,
+    ) {
+    }
+
+    fn step_begin<F: Borrow<XmlForest>>(
+        &mut self,
+        _: &QueryEngine<F>,
+        _: Strategy,
+        _: &QueryMetrics,
+    ) {
+    }
+
+    fn step_skipped(&mut self, _: (), _: usize) {}
+
+    fn step_end<F: Borrow<XmlForest>>(
+        &mut self,
+        _: (),
+        _: &QueryEngine<F>,
+        _: Strategy,
+        _: (usize, usize, &'static str),
+        _: &mut QueryMetrics,
+    ) {
+    }
+
+    fn materialize_begin(&mut self, _: usize) {}
+
+    fn materialized(&mut self, _: (), _: usize) {}
+}
+
+impl StepTracer for &mut Trace {
+    type Span = SpanToken;
+    /// The open `execute` span and the cost model's read estimate.
+    type Run = (SpanToken, Option<f64>);
+    /// The open `step` span and the pool/probe/row totals at its start.
+    type Step = (SpanToken, IoStatsSnapshot, QueryMetrics);
+
+    fn resolve_begin(&mut self) -> SpanToken {
+        self.begin("resolve", "")
+    }
+
+    fn resolved<F: Borrow<XmlForest>>(
+        &mut self,
+        span: SpanToken,
+        engine: &QueryEngine<F>,
+        requested: Strategy,
+        strategy: Strategy,
+        compiled: &CompiledTwig,
+        plan: &QueryPlan,
+    ) -> (SpanToken, Option<f64>) {
+        let est_reads = engine
+            .rank_strategies(compiled, plan)
+            .into_iter()
+            .find(|c| c.strategy == strategy)
+            .map(|c| c.est_page_reads);
+        if requested == Strategy::Auto {
+            self.annotate(span, format!("auto\u{2192}{}", strategy.label()));
+        } else {
+            self.annotate(span, strategy.label());
+        }
+        self.end(span, SpanCounters::default());
+        (self.begin("execute", strategy.label()), est_reads)
+    }
+
+    fn executed<F: Borrow<XmlForest>>(
+        &mut self,
+        (span, est_reads): (SpanToken, Option<f64>),
+        engine: &QueryEngine<F>,
+        compiled: &CompiledTwig,
+        strategy: Strategy,
+        metrics: &QueryMetrics,
+    ) {
+        self.end(
+            span,
+            SpanCounters {
+                logical_reads: metrics.logical_reads,
+                physical_reads: metrics.physical_reads,
+                probes: metrics.probes,
+                rows: metrics.rows_fetched,
+            },
+        );
+        engine.calibration.record(CalibrationSample {
+            shape: twig_shape(&compiled.twig),
+            strategy,
+            est_reads: est_reads.unwrap_or(0.0),
+            actual_reads: metrics.physical_reads,
+            micros: metrics.elapsed.as_micros() as u64,
+        });
+    }
+
+    fn step_begin<F: Borrow<XmlForest>>(
+        &mut self,
+        engine: &QueryEngine<F>,
+        strategy: Strategy,
+        metrics: &QueryMetrics,
+    ) -> Self::Step {
+        let io = engine.snapshot(strategy);
+        (self.begin("step", String::new()), io, *metrics)
+    }
+
+    fn step_skipped(&mut self, (span, ..): Self::Step, i: usize) {
+        self.annotate(span, format!("#{i} skipped: empty input"));
+        self.end(span, SpanCounters::default());
+    }
+
+    fn step_end<F: Borrow<XmlForest>>(
+        &mut self,
+        (span, io_before, before): Self::Step,
+        engine: &QueryEngine<F>,
+        strategy: Strategy,
+        (i, subpath, how): (usize, usize, &'static str),
+        metrics: &mut QueryMetrics,
+    ) {
+        // Attribute the Edge family's deferred lookup counters to the
+        // step that issued them; the run's final drain then collects
+        // nothing, so the query total matches the untraced path exactly.
+        metrics.probes += engine.drain_baseline_counters(strategy);
+        let io = engine.snapshot(strategy).since(&io_before);
+        self.annotate(span, format!("#{i} subpath {subpath} {how}"));
+        self.end(
+            span,
+            SpanCounters {
+                logical_reads: io.logical_reads,
+                physical_reads: io.physical_reads,
+                probes: metrics.probes - before.probes,
+                rows: metrics.rows_fetched - before.rows_fetched,
+            },
+        );
+    }
+
+    fn materialize_begin(&mut self, output: usize) -> SpanToken {
+        self.begin("materialize", format!("output node {output}"))
+    }
+
+    fn materialized(&mut self, span: SpanToken, ids: usize) {
+        self.end(span, SpanCounters { rows: ids as u64, ..SpanCounters::default() });
     }
 }
 

@@ -219,7 +219,8 @@ pub enum ErrorCode {
     StrategyNotBuilt = 4,
     /// Admission control shed this request; retry with backoff.
     Overloaded = 5,
-    /// The server (or target service) is shutting down.
+    /// The server is shutting down. No current server sends it; the
+    /// code keeps its number so the wire numbering stays stable.
     ShuttingDown = 6,
     /// An update op named a tag the target document never contained.
     UnknownTag = 7,
@@ -228,6 +229,9 @@ pub enum ErrorCode {
     /// No retained trace record matches the requested id (never
     /// sampled, 0, or already evicted from the ring).
     UnknownTrace = 9,
+    /// The response would exceed the frame limit
+    /// ([`crate::frame::MAX_FRAME_LEN`]); the connection stays open.
+    ResultTooLarge = 10,
 }
 
 impl ErrorCode {
@@ -242,6 +246,7 @@ impl ErrorCode {
             7 => ErrorCode::UnknownTag,
             8 => ErrorCode::Internal,
             9 => ErrorCode::UnknownTrace,
+            10 => ErrorCode::ResultTooLarge,
             other => return Err(FormatError(format!("unknown error code {other}"))),
         })
     }
@@ -259,6 +264,7 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::UnknownTag => "unknown-tag",
             ErrorCode::Internal => "internal",
             ErrorCode::UnknownTrace => "unknown-trace",
+            ErrorCode::ResultTooLarge => "result-too-large",
         };
         f.write_str(name)
     }
@@ -636,6 +642,12 @@ mod tests {
             message: "1024 in flight".into(),
         });
         roundtrip_response(Response::ShutdownAck);
+        let too_large = Response::Error {
+            code: ErrorCode::ResultTooLarge,
+            message: "frame payload of 16777217 bytes exceeds the limit".into(),
+        };
+        assert_eq!(too_large.encode().1.first(), Some(&10), "wire code of ResultTooLarge");
+        roundtrip_response(too_large);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! request handler that bridges wire messages onto the catalog.
 //!
 //! Threading model: each connection's thread *is* its dispatcher —
-//! requests run on it via [`TwigService::execute`] (the service's
-//! direct-dispatch door), so the server adds no queue of its own, and
-//! back-pressure is exactly the service's admission budget: when it is
+//! requests run on it via [`TwigService::execute`], so nothing queues,
+//! and back-pressure is exactly the service's admission budget: when it is
 //! exhausted the client sees a typed `Overloaded` response immediately
 //! instead of a silently growing backlog.
 //!
@@ -12,7 +11,10 @@
 //! a typed `Malformed` response and the connection keeps serving
 //! (framing is intact); a frame that *frames wrong* (bad magic,
 //! oversized length) gets the typed response and then the connection is
-//! dropped, because byte alignment is unrecoverable.
+//! dropped, because byte alignment is unrecoverable. A *response* too
+//! large for one frame is refused before any byte is written, so the
+//! client gets a typed `ResultTooLarge` error and the connection keeps
+//! serving.
 //!
 //! Observability: every connection is journaled (`ConnOpen`/`ConnClose`
 //! with frame/byte/error accounting), requests wrapped in the v2 trace
@@ -271,16 +273,30 @@ fn serve_loop(
                 false,
             ),
         };
-        let is_error = matches!(resp, Response::Error { .. });
-        if is_error {
-            stats.errors += 1;
-        }
         // Echo the request id back inside the envelope iff the request
         // arrived enveloped; bare v1 requests get bare v1 responses.
-        let (op, payload) = match ctx {
+        let encode = |resp: &Response| match ctx {
             Some(c) => resp.encode_enveloped(c.request_id),
             None => resp.encode(),
         };
+        let (op, payload) = encode(&resp);
+        let mut is_error = matches!(resp, Response::Error { .. });
+        let sent = match write_frame(writer, op, &payload) {
+            Ok(()) => Ok(payload.len()),
+            // Refused before any byte went out, so framing holds: answer
+            // with a typed error instead and keep serving.
+            Err(e @ FrameError::Oversized(_)) => {
+                is_error = true;
+                let resp =
+                    Response::Error { code: ErrorCode::ResultTooLarge, message: e.to_string() };
+                let (op, payload) = encode(&resp);
+                write_frame(writer, op, &payload).map(|()| payload.len())
+            }
+            Err(e) => Err(e),
+        };
+        if is_error {
+            stats.errors += 1;
+        }
         if options.access_log {
             eprintln!(
                 "[access] peer={} id={} op={} outcome={} micros={}",
@@ -291,11 +307,9 @@ fn serve_loop(
                 started.elapsed().as_micros()
             );
         }
-        if write_frame(writer, op, &payload).is_err() {
-            return;
-        }
+        let Ok(len) = sent else { return };
         stats.frames_out += 1;
-        stats.bytes_out += (FRAME_OVERHEAD + payload.len()) as u64;
+        stats.bytes_out += (FRAME_OVERHEAD + len) as u64;
         if shutdown {
             stop.store(true, Ordering::SeqCst);
             let _ = TcpStream::connect(server_addr); // unblock accept
@@ -318,8 +332,6 @@ fn service_error(e: ServiceError) -> Response {
     let code = match &e {
         ServiceError::Overloaded { .. } => ErrorCode::Overloaded,
         ServiceError::StrategyNotBuilt(_) => ErrorCode::StrategyNotBuilt,
-        ServiceError::ShuttingDown => ErrorCode::ShuttingDown,
-        ServiceError::DeadlineExceeded | ServiceError::Canceled => ErrorCode::Internal,
     };
     Response::Error { code, message: e.to_string() }
 }

@@ -1,27 +1,26 @@
 //! Admission control: a bounded in-flight query budget shared by every
-//! submission path.
+//! dispatch call.
 //!
-//! The service used to accept unboundedly — a traffic spike queued
-//! thousands of jobs behind a fixed worker pool, and every caller saw
-//! worst-case latency while memory grew with the backlog. Admission
-//! control converts that failure mode into fast, typed rejection:
+//! Without a bound, a traffic spike lets thousands of queries execute
+//! at once, and every caller sees worst-case latency while memory grows
+//! with the backlog. Admission control converts that failure mode into
+//! fast, typed rejection:
 //! [`Admission::try_acquire`] either hands back an RAII [`Permit`]
 //! (released when the query resolves, however it resolves) or reports
 //! the budget exhausted, which the service surfaces as
 //! [`crate::ServiceError::Overloaded`] and the network front end as a
 //! typed overload response the client can back off on.
 //!
-//! The budget counts *queries*, not jobs or connections: a batch of N
-//! twigs takes N units, and a direct [`crate::TwigService::execute`]
-//! call takes one, so queued and executing work draw from one pool no
-//! matter which door it came in through.
+//! The budget counts *queries*, not calls or connections: a batch of N
+//! twigs takes N units, and a [`crate::TwigService::execute`] call
+//! takes one.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A bounded in-flight budget. Cheap to share: one atomic counter, no
 /// locks, no waiting — admission either succeeds immediately or fails
-/// immediately (load shedding, not queueing; the queue is behind it).
+/// immediately (load shedding, not queueing).
 #[derive(Debug)]
 pub struct Admission {
     /// Maximum in-flight units; `0` disables the bound.
@@ -100,8 +99,8 @@ impl Admission {
 }
 
 /// RAII reservation of in-flight units; dropping it releases them.
-/// Permits ride inside jobs, so a query releases its units exactly when
-/// it resolves — answered, errored, deadline-missed, or canceled.
+/// A dispatch call holds its permit for the whole execution, so a query
+/// releases its units exactly when it is answered or errors.
 #[derive(Debug)]
 pub struct Permit {
     admission: Arc<Admission>,

@@ -5,12 +5,15 @@
 //! deployment puts in front of those indexes. A [`TwigService`] owns a
 //! shared [`QueryEngine`](xtwig_core::QueryEngine) (over an
 //! `Arc<XmlForest>`, so the engine is `Send + Sync`) and answers many
-//! concurrent twig queries through a fixed worker pool:
+//! concurrent twig queries, each on its caller's thread:
 //!
-//! * **Submission API** — [`TwigService::submit`] enqueues a query and
-//!   returns a [`Ticket`]; workers resolve tickets as they drain the
-//!   queue. Per-query deadlines reject work that waited too long, and
-//!   [`TwigService::shutdown`] drains the queue then joins the workers.
+//! * **Dispatch + admission control** — [`TwigService::execute`]
+//!   answers on the caller's thread against a pinned epoch (the network
+//!   front end's one-connection-one-dispatcher model; in-process
+//!   callers share the service across their own threads). Every call,
+//!   single or batch, draws from one bounded [`Admission`] budget that
+//!   sheds load with a typed [`ServiceError::Overloaded`] instead of
+//!   letting load pile up without bound.
 //! * **Plan cache** — keyed by canonicalized twig *shape* (tags, axes,
 //!   value-predicate structure, output node), so repeated shapes skip
 //!   `decompose`/`choose_plan` and differ only in the literals rebound
@@ -21,7 +24,7 @@
 //!   publishes a new generation, atomically staling every cached
 //!   result (and the cache refuses to let a slow writer's stale answer
 //!   clobber a newer generation's entry).
-//! * **Batched execution** — [`TwigService::submit_batch`] evaluates a
+//! * **Batched execution** — [`TwigService::execute_batch`] evaluates a
 //!   group of queries with a shared probe memo, so queries sharing a
 //!   PCsubpath (same tags/anchoring/value) hit the indexes once.
 //! * **Snapshot-isolated maintenance** — [`TwigService::apply_update`]
@@ -34,20 +37,14 @@
 //!   [`TwigService::persist`] folds the accumulated overlay pages into
 //!   a new base image on disk.
 //! * **Stats** — [`TwigService::stats`] snapshots cache hit rates,
-//!   queue depth, per-strategy latency histograms, and per-strategy
+//!   queries in flight, per-strategy latency histograms, and per-strategy
 //!   cost counters (probes, rows fetched, logical/physical page reads,
 //!   optimizer picks), and renders them as JSON for the bench harness.
-//! * **Auto strategy selection** — submissions may name
-//!   [`Strategy::Auto`](xtwig_core::Strategy::Auto): the worker
+//! * **Auto strategy selection** — queries may name
+//!   [`Strategy::Auto`](xtwig_core::Strategy::Auto): the service
 //!   resolves it through the engine's cost model (memoized per shape in
 //!   the plan cache), keys the result cache on the resolved concrete
 //!   strategy, and counts each pick in the stats.
-//! * **Direct dispatch + admission control** — [`TwigService::execute`]
-//!   answers on the caller's thread (the network front end's
-//!   one-connection-one-dispatcher model), and every door — queued or
-//!   direct, single or batch — draws from one bounded [`Admission`]
-//!   budget that sheds load with a typed
-//!   [`ServiceError::Overloaded`] instead of queueing without bound.
 //! * **Multi-index catalog** — a [`Catalog`] serves many persisted
 //!   `.xtwig` indexes by name, opening them on demand and keeping an
 //!   LRU of attached services (eviction never cuts off in-flight
@@ -64,13 +61,11 @@
 //! let service = TwigService::build(
 //!     fig1_book_document(),
 //!     EngineOptions { pool_pages: 256, ..Default::default() },
-//!     ServiceOptions { workers: 4, ..Default::default() },
+//!     ServiceOptions::default(),
 //! );
 //! let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
-//! let ticket = service.submit(&twig, Strategy::RootPaths).unwrap();
-//! let answer = ticket.wait().unwrap();
+//! let answer = service.execute(&twig, Strategy::RootPaths).unwrap();
 //! assert_eq!(answer.ids.len(), 1);
-//! service.shutdown();
 //! ```
 
 pub mod admission;
@@ -88,8 +83,7 @@ pub use catalog::{Catalog, CatalogEntry, CatalogError, CatalogOptions, CatalogSt
 pub use events::{Event, EventJournal, JournalEntry, EVENT_KINDS};
 pub use metrics::{render_metrics, MetricsRegistry, SlowQuery};
 pub use service::{
-    BatchTicket, RequestCtx, ServiceAnswer, ServiceError, ServiceOptions, SharedEngine, Ticket,
-    TwigService, UpdateOp,
+    RequestCtx, ServiceAnswer, ServiceError, ServiceOptions, SharedEngine, TwigService, UpdateOp,
 };
 pub use shape::{exact_key, shape_key};
 pub use stats::{

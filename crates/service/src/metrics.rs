@@ -186,7 +186,7 @@ fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
 
 /// Renders the full exposition from a stats snapshot, the engine's
 /// per-pool counter handles, the registry, and the event journal. Free
-/// function so tests can render without standing up a worker pool.
+/// function so tests can render without standing up a service.
 pub fn render_metrics(
     snapshot: &ServiceSnapshot,
     pools: &[(&'static str, PoolCounters)],
@@ -201,12 +201,6 @@ pub fn render_metrics(
         "xtwig_queries_failed_total",
         "Queries resolved with an error",
         snapshot.failed,
-    );
-    counter(
-        &mut out,
-        "xtwig_deadline_missed_total",
-        "Queries rejected for missing their queueing deadline",
-        snapshot.deadline_missed,
     );
     counter(&mut out, "xtwig_updates_total", "Index-maintenance transactions", snapshot.updates);
     counter(
@@ -234,7 +228,6 @@ pub fn render_metrics(
         "Result-cache misses",
         snapshot.result_cache.misses,
     );
-    gauge(&mut out, "xtwig_queue_depth", "Jobs currently queued", snapshot.queue_depth as u64);
     gauge(
         &mut out,
         "xtwig_in_flight",

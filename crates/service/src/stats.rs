@@ -3,7 +3,7 @@
 //! blocks on bookkeeping.
 
 use crate::cache::CacheStats;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use xtwig_core::{QueryMetrics, Strategy};
 
@@ -147,7 +147,6 @@ pub struct ServiceStats {
     pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
     pub(crate) failed: AtomicU64,
-    pub(crate) deadline_missed: AtomicU64,
     pub(crate) updates: AtomicU64,
     pub(crate) rebuilds: AtomicU64,
     pub(crate) journal_ops: AtomicU64,
@@ -157,8 +156,6 @@ pub struct ServiceStats {
     pub(crate) batch_queries: AtomicU64,
     pub(crate) memo_hits: AtomicU64,
     pub(crate) memo_misses: AtomicU64,
-    pub(crate) queue_depth: AtomicUsize,
-    pub(crate) queue_high_water: AtomicUsize,
     latency: Vec<StrategyLatency>, // indexed by position in Strategy::ALL
     costs: Vec<StrategyCost>,      // indexed by position in Strategy::ALL
 }
@@ -169,7 +166,6 @@ impl Default for ServiceStats {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            deadline_missed: AtomicU64::new(0),
             updates: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
             journal_ops: AtomicU64::new(0),
@@ -179,8 +175,6 @@ impl Default for ServiceStats {
             batch_queries: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            queue_high_water: AtomicUsize::new(0),
             latency: Strategy::ALL.iter().map(|_| StrategyLatency::new()).collect(),
             costs: Strategy::ALL.iter().map(|_| StrategyCost::new()).collect(),
         }
@@ -194,19 +188,6 @@ fn strategy_slot<T>(slots: &[T], strategy: Strategy) -> Option<&T> {
 }
 
 impl ServiceStats {
-    /// Accounts one enqueued job carrying `queries` queries (batches
-    /// count every member, so `submitted`/`completed`/`failed` share
-    /// query units; the queue gauges count jobs).
-    pub(crate) fn enqueue(&self, queries: u64) {
-        self.submitted.fetch_add(queries, Ordering::Relaxed);
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_high_water.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    pub(crate) fn dequeue(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_latency(&self, strategy: Strategy, elapsed: Duration) {
         // A strategy outside `ALL` loses its sample instead of
         // panicking the recording thread; stats are best-effort.
@@ -292,14 +273,12 @@ pub struct StrategyCostSnapshot {
 /// the bench harness.
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
-    /// Queries accepted (single submissions plus batch members).
+    /// Queries accepted (single queries plus batch members).
     pub submitted: u64,
     /// Queries answered successfully.
     pub completed: u64,
     /// Queries resolved with an error.
     pub failed: u64,
-    /// Queries rejected for missing their deadline while queued.
-    pub deadline_missed: u64,
     /// Index-maintenance transactions applied.
     pub updates: u64,
     /// Full engine rebuild-and-swap operations completed.
@@ -314,18 +293,13 @@ pub struct ServiceSnapshot {
     pub folds: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Queries submitted through batches.
+    /// Queries answered through batches.
     pub batch_queries: u64,
     /// FreeIndex probes answered from a batch memo.
     pub memo_hits: u64,
     /// FreeIndex probes a batch actually issued.
     pub memo_misses: u64,
-    /// Jobs currently queued.
-    pub queue_depth: usize,
-    /// Highest queue depth observed.
-    pub queue_high_water: usize,
-    /// Queries currently admitted and not yet resolved (queued plus
-    /// executing, across both dispatch doors).
+    /// Queries currently admitted and not yet answered.
     pub in_flight: usize,
     /// The configured admission bound (`0` = unbounded).
     pub admission_limit: usize,
@@ -386,7 +360,6 @@ impl ServiceSnapshot {
              {indent}  \"submitted\": {},\n\
              {indent}  \"completed\": {},\n\
              {indent}  \"failed\": {},\n\
-             {indent}  \"deadline_missed\": {},\n\
              {indent}  \"updates\": {},\n\
              {indent}  \"rebuilds\": {},\n\
              {indent}  \"journal_ops\": {},\n\
@@ -396,8 +369,6 @@ impl ServiceSnapshot {
              {indent}  \"batch_queries\": {},\n\
              {indent}  \"memo_hits\": {},\n\
              {indent}  \"memo_misses\": {},\n\
-             {indent}  \"queue_depth\": {},\n\
-             {indent}  \"queue_high_water\": {},\n\
              {indent}  \"in_flight\": {},\n\
              {indent}  \"admission_limit\": {},\n\
              {indent}  \"overloaded\": {},\n\
@@ -410,7 +381,6 @@ impl ServiceSnapshot {
             self.submitted,
             self.completed,
             self.failed,
-            self.deadline_missed,
             self.updates,
             self.rebuilds,
             self.journal_ops,
@@ -420,8 +390,6 @@ impl ServiceSnapshot {
             self.batch_queries,
             self.memo_hits,
             self.memo_misses,
-            self.queue_depth,
-            self.queue_high_water,
             self.in_flight,
             self.admission_limit,
             self.overloaded,
@@ -515,7 +483,6 @@ mod tests {
             submitted: 1,
             completed: 1,
             failed: 0,
-            deadline_missed: 0,
             updates: 0,
             rebuilds: 0,
             journal_ops: 0,
@@ -525,8 +492,6 @@ mod tests {
             batch_queries: 0,
             memo_hits: 0,
             memo_misses: 0,
-            queue_depth: 0,
-            queue_high_water: 1,
             in_flight: 0,
             admission_limit: 1024,
             overloaded: 0,

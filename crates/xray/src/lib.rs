@@ -12,8 +12,9 @@
 //!   re-acquisition while a frame lock is held;
 //! * `typed-errors` — `pub fn` Results in the scoped crates use
 //!   crate-local error types (no `String`/`Box<dyn Error>`/`io::Error`);
-//! * `untraced-purity` — the untraced executor stays free of timing
-//!   and span identifiers;
+//! * `untraced-purity` — the generic executor body stays free of timing
+//!   and span identifiers, and every method of its no-op tracer
+//!   (`NoTrace`) has an empty body;
 //! * `safety-comments` — every `unsafe` carries a `// SAFETY:` line.
 //!
 //! Deliberate exceptions live in `xray.toml` `[[allow]]` entries keyed

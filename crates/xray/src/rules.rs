@@ -582,11 +582,34 @@ fn check_return_type(
     }
 }
 
-/// Rule 4: untraced-executor purity. The configured functions must not
-/// mention any of the forbidden identifiers (timing, span machinery) —
-/// the untraced executor's zero-overhead guarantee is load-bearing for
-/// the PR-7 benchmark methodology.
+/// The executor's no-op tracer type: every method of an `impl … for
+/// NoTrace` block in the purity file must have an empty body.
+const NOOP_TRACER: &str = "NoTrace";
+
+/// Rule 4: untraced-executor purity. The executor is one body generic
+/// over a tracer; its untraced instance is free only if (a) the
+/// configured functions never mention the forbidden identifiers
+/// (timing, span machinery) themselves, and (b) every method of the
+/// no-op tracer (`impl … for NoTrace`) has an empty body, so nothing
+/// runs when tracing is off.
 fn rule_untraced_purity(rel: &str, view: &FileView<'_>, cfg: &Config, out: &mut Vec<Finding>) {
+    for ci in 0..view.len() {
+        if !(view.is_ident(ci, "for") && view.is_ident(ci + 1, NOOP_TRACER)) {
+            continue;
+        }
+        let Some(open) = (ci + 2..view.len()).find(|&j| view.is_punct(j, "{")) else { continue };
+        let Some(close) = view.match_delim(open, "{", "}") else { continue };
+        for f in view.fns.iter().filter(|f| f.fn_ci > open && f.fn_ci < close) {
+            if f.body.is_some_and(|(start, end)| end > start + 1) {
+                out.push(finding(
+                    RULE_UNTRACED_PURITY,
+                    rel,
+                    view.tok(f.fn_ci),
+                    format!("{NOOP_TRACER} method {} must have an empty body", f.name),
+                ));
+            }
+        }
+    }
     for f in &view.fns {
         if !cfg.purity_functions.contains(&f.name) {
             continue;
@@ -789,7 +812,7 @@ mod tests {
 
     #[test]
     fn purity_rule_is_function_scoped() {
-        let src = "fn execute(&self) { let t = Instant::now(); }\nfn execute_traced(&self) { let t = Instant::now(); }";
+        let src = "fn execute(&self) { let t = Instant::now(); }\nfn answer_traced(&self) { let t = Instant::now(); }";
         let fired = scan_file("crates/core/src/engine.rs", src, &cfg());
         assert_eq!(fired.len(), 1, "{fired:?}");
         assert_eq!(fired[0].rule, RULE_UNTRACED_PURITY);

@@ -73,6 +73,13 @@ fn untraced_purity_fixture_fires_only_inside_the_scoped_fn() {
 }
 
 #[test]
+fn noop_tracer_fixture_fires_on_the_non_empty_method_only() {
+    let src = include_str!("fixtures/noop_tracer.rs");
+    let findings = analyze_source("crates/core/src/engine.rs", src, &fixture_config());
+    assert_eq!(rule_lines(&findings), vec![("untraced-purity", 7)], "{findings:#?}");
+}
+
+#[test]
 fn safety_comments_fixture_fires_on_the_bare_unsafe_only() {
     let src = include_str!("fixtures/safety_comments.rs");
     let findings = analyze_source("crates/misc/src/safety.rs", src, &fixture_config());

@@ -7,7 +7,7 @@ impl QueryEngine {
         let _ = started;
     }
 
-    fn execute_traced(&self) {
+    fn answer_traced(&self) {
         let started = Instant::now();
         let _ = started;
     }

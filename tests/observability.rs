@@ -180,17 +180,17 @@ fn metrics_text_parses_and_counters_are_monotonic() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 2, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let queries = ["/book[title='XML']//author[fn='jane'][ln='doe']", "//section/head", "//title"];
     for q in &queries[..2] {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::Auto).unwrap();
     }
     let first = parse_samples(&service.metrics_text());
     for q in &queries {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::RootPaths).unwrap();
     }
     let second = parse_samples(&service.metrics_text());
 
@@ -226,7 +226,6 @@ fn metrics_text_parses_and_counters_are_monotonic() {
         buckets.last().unwrap().1,
         second["xtwig_query_latency_micros_count{strategy=\"RP\"}"]
     );
-    service.shutdown();
 }
 
 /// The slow-query ring keeps the newest `slow_query_capacity` entries,
@@ -238,7 +237,6 @@ fn slow_query_log_evicts_at_capacity() {
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
         ServiceOptions {
-            workers: 1,
             result_cache_capacity: 0,
             slow_query_micros: Some(0), // every execution is "slow"
             slow_query_capacity: 2,
@@ -248,7 +246,7 @@ fn slow_query_log_evicts_at_capacity() {
     let queries = ["//title", "//section/head", "//author[fn = 'jane']/ln", "/book/title"];
     for q in queries {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::RootPaths).unwrap();
     }
     let slow = service.slow_queries();
     assert_eq!(slow.len(), 2, "ring must hold exactly its capacity");
@@ -261,7 +259,6 @@ fn slow_query_log_evicts_at_capacity() {
     }
     let samples = parse_samples(&service.metrics_text());
     assert_eq!(samples["xtwig_slow_queries_total"], 4.0, "total must count evicted captures too");
-    service.shutdown();
 }
 
 /// Exposition conformance: every sample's family declares `# HELP` and
@@ -274,13 +271,13 @@ fn exposition_declares_help_and_type_for_every_family_before_its_samples() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 1, slow_query_micros: Some(0), ..Default::default() },
+        ServiceOptions { slow_query_micros: Some(0), ..Default::default() },
     );
     // Populate the filtered families (per-strategy costs, latency
     // histograms, shapes, the slow-query counter).
     for q in ["//title", "/book[title='XML']//author[fn='jane'][ln='doe']"] {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::Auto).unwrap();
     }
     let text = service.metrics_text();
 
@@ -328,7 +325,6 @@ fn exposition_declares_help_and_type_for_every_family_before_its_samples() {
     for family in help.keys() {
         assert!(sampled.contains(family), "family {family} declared but never sampled");
     }
-    service.shutdown();
 }
 
 /// Label values pass through `json_escape` on the way into the
@@ -347,10 +343,9 @@ fn hostile_label_values_are_escaped_in_the_exposition() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 1, ..Default::default() },
+        ServiceOptions::default(),
     );
     let snapshot = service.stats();
-    service.shutdown();
 
     let text = render_metrics(&snapshot, &[], &registry, &journal);
     let lines: Vec<&str> =
@@ -387,7 +382,7 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 2, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     std::thread::scope(|scope| {
         let svc = &service;
@@ -422,7 +417,7 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
             let queries = ["//title", "//section/head", "/book/title"];
             for round in 0..30 {
                 let twig = parse_xpath(queries[round % queries.len()]).unwrap();
-                svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+                svc.execute(&twig, Strategy::RootPaths).unwrap();
             }
         });
         driver.join().unwrap();
@@ -430,7 +425,6 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
             s.join().unwrap();
         }
     });
-    service.shutdown();
 }
 
 /// Traced executions feed the engine's calibration log with

@@ -1,6 +1,6 @@
 //! Integration: the concurrent query service (`xtwig-service`).
 //!
-//! Guards the serving-layer contract: many workers over one shared
+//! Guards the serving-layer contract: many caller threads over one shared
 //! engine answer exactly like the naive matcher and like sequential
 //! execution, across all seven §5.1.2 strategies; and the §7 updates
 //! path invalidates cached results via the generation counter.
@@ -61,21 +61,30 @@ fn concurrent_submissions_agree_with_naive_across_all_strategies() {
     let service = TwigService::build(
         forest,
         EngineOptions { pool_pages: 512, ..Default::default() },
-        ServiceOptions { workers: 8, ..Default::default() },
+        ServiceOptions::default(),
     );
     // Two passes so the second round exercises the result cache; the
     // answers must be identical either way.
     for round in 0..2 {
-        let tickets: Vec<_> = QUERIES
-            .iter()
-            .flat_map(|q| {
-                let twig = parse_xpath(q).unwrap();
-                Strategy::ALL.iter().map(|s| service.submit(&twig, *s).unwrap()).collect::<Vec<_>>()
-            })
-            .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
+        // One caller thread per query, all dispatching at once.
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = QUERIES
+                .iter()
+                .map(|q| {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let twig = parse_xpath(q).unwrap();
+                        Strategy::ALL
+                            .iter()
+                            .map(|s| service.execute(&twig, *s).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        for (i, answer) in answers.into_iter().enumerate() {
             let (qi, s) = (i / Strategy::ALL.len(), Strategy::ALL[i % Strategy::ALL.len()]);
-            let answer = t.wait().unwrap();
             assert_eq!(
                 *answer.ids, expected[qi],
                 "round {round}: {s} disagrees with naive on {}",
@@ -87,7 +96,6 @@ fn concurrent_submissions_agree_with_naive_across_all_strategies() {
     assert_eq!(stats.submitted, 2 * (QUERIES.len() * Strategy::ALL.len()) as u64);
     assert_eq!(stats.completed, stats.submitted);
     assert!(stats.result_cache.hits >= (QUERIES.len() * Strategy::ALL.len()) as u64);
-    service.shutdown();
 }
 
 #[test]
@@ -97,7 +105,7 @@ fn eight_workers_match_sequential_execution_byte_for_byte() {
         forest,
         EngineOptions { pool_pages: 512, ..Default::default() },
         // Result cache off: every concurrent answer is a real execution.
-        ServiceOptions { workers: 8, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let twigs: Vec<TwigPattern> = QUERIES.iter().map(|q| parse_xpath(q).unwrap()).collect();
     // Sequential baseline through the same engine.
@@ -116,7 +124,7 @@ fn eight_workers_match_sequential_execution_byte_for_byte() {
             handles.push(scope.spawn(move || {
                 let mut out = Vec::new();
                 for (si, s) in Strategy::ALL.iter().enumerate() {
-                    let a = service.submit(twig, *s).unwrap().wait().unwrap();
+                    let a = service.execute(twig, *s).unwrap();
                     out.push((qi * Strategy::ALL.len() + si, serialize(&a.ids)));
                 }
                 out
@@ -144,12 +152,12 @@ fn update_invalidates_cached_results_after_generation_bump() {
             pool_pages: 512,
             ..Default::default()
         },
-        ServiceOptions { workers: 2, ..Default::default() },
+        ServiceOptions::default(),
     );
     let twig = parse_xpath("//author[fn='ada']").unwrap();
     // Prime the cache with the (empty) answer, twice to confirm a hit.
-    assert!(service.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap().ids.is_empty());
-    assert!(service.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap().from_cache);
+    assert!(service.execute(&twig, Strategy::RootPaths).unwrap().ids.is_empty());
+    assert!(service.execute(&twig, Strategy::RootPaths).unwrap().from_cache);
     assert_eq!(service.generation(), 0);
     // §7: insert /book/allauthors/author[fn='ada'].
     let tags: Vec<_> = service.with_engine(|engine| {
@@ -161,13 +169,12 @@ fn update_invalidates_cached_results_after_generation_bump() {
         UpdateOp::InsertPath { tags, ids: vec![1, 3, 7_000, 7_001], value: Some("ada".into()) },
     ]);
     assert_eq!(service.generation(), 1);
-    let after = service.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+    let after = service.execute(&twig, Strategy::RootPaths).unwrap();
     assert!(!after.from_cache, "generation bump must stale the cached empty result");
     assert_eq!(after.ids.iter().copied().collect::<Vec<_>>(), vec![7_000]);
     let stats = service.stats();
     assert_eq!(stats.updates, 1);
     assert!(stats.result_cache.invalidated >= 1);
-    service.shutdown(); // Arc-free here: plain value, graceful drain
 }
 
 #[test]
@@ -180,16 +187,15 @@ fn batched_stream_agrees_with_singles_and_saves_probes() {
             pool_pages: 512,
             ..Default::default()
         },
-        ServiceOptions { workers: 4, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let twigs: Vec<TwigPattern> = QUERIES.iter().map(|q| parse_xpath(q).unwrap()).collect();
-    let batched = service.submit_batch(&twigs, Strategy::RootPaths).unwrap().wait().unwrap();
+    let batched = service.execute_batch(&twigs, Strategy::RootPaths).unwrap();
     for (twig, answer) in twigs.iter().zip(&batched) {
-        let single = service.submit(twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let single = service.execute(twig, Strategy::RootPaths).unwrap();
         assert_eq!(answer.ids, single.ids, "batch answer differs on {twig}");
     }
     let stats = service.stats();
     assert_eq!(stats.batches, 1);
     assert_eq!(stats.batch_queries, QUERIES.len() as u64);
-    service.shutdown();
 }

@@ -186,11 +186,11 @@ fn datapaths_maintenance_under_service_apply_update() {
             pool_pages: 512,
             ..Default::default()
         },
-        ServiceOptions { workers: 2, ..Default::default() },
+        ServiceOptions::default(),
     );
     let twig = parse_xpath("//author[fn='ada']").unwrap();
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
-        assert!(svc.submit(&twig, s).unwrap().wait().unwrap().ids.is_empty());
+        assert!(svc.execute(&twig, s).unwrap().ids.is_empty());
     }
     let tags: Vec<TagId> = svc.with_engine(|e| {
         ["book", "allauthors", "author", "fn"]
@@ -207,14 +207,14 @@ fn datapaths_maintenance_under_service_apply_update() {
         },
     ]);
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
-        let a = svc.submit(&twig, s).unwrap().wait().unwrap();
+        let a = svc.execute(&twig, s).unwrap();
         assert!(!a.from_cache, "{s}: stale cached empty answer served");
         assert_eq!(a.ids.iter().copied().collect::<Vec<_>>(), vec![900], "{s}");
     }
     // Branching query exercising the join paths over the updated index.
     let branching = parse_xpath("/book[title='XML']//author[fn='ada']").unwrap();
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
-        let a = svc.submit(&branching, s).unwrap().wait().unwrap();
+        let a = svc.execute(&branching, s).unwrap();
         assert_eq!(a.ids.iter().copied().collect::<Vec<_>>(), vec![900], "{s}");
     }
     // Delete through the same path; both strategies converge to empty.
@@ -224,8 +224,7 @@ fn datapaths_maintenance_under_service_apply_update() {
         value: Some("ada".into()),
     }]);
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
-        assert!(svc.submit(&twig, s).unwrap().wait().unwrap().ids.is_empty(), "{s}");
+        assert!(svc.execute(&twig, s).unwrap().ids.is_empty(), "{s}");
     }
     assert_eq!(svc.generation(), 2);
-    svc.shutdown();
 }
