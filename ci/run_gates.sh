@@ -20,7 +20,7 @@ fig_persist    BENCH_persist.json  25.0  5
 fig_mvcc       BENCH_mvcc.json     25.0  3
 fig_optimizer  BENCH_opt.json      4.0   20
 fig_obs        BENCH_obs.json      25.0  4
-fig_net        BENCH_net.json      25.0  3
+fig_net        BENCH_net.json      25.0  4
 fig_events     BENCH_events.json   25.0  3
 "
 

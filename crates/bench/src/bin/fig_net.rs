@@ -14,7 +14,13 @@
 //!   loopback + frame decode), the floor the transport imposes;
 //! * `wire/query` — the full client round trip: encode, send, execute
 //!   on the connection thread, encode ids, decode. The gap to
-//!   `inproc/query` minus `wire/ping` is id-serialization cost.
+//!   `inproc/query` minus `wire/ping` is id-serialization cost;
+//! * `wire/query_large` — the same round trip for an answer whose
+//!   encoded frame is over 8 KiB (1,500 ids from a generated shelf
+//!   index). A frame written in two pieces on a Nagle socket stalls
+//!   here on the peer's delayed ACK, about 40 ms a round trip; one
+//!   write per frame on a no-delay socket leaves only the execution
+//!   and id-encoding cost.
 //!
 //! Result caching is off so every sample is a real execution; the
 //! wire and in-process answers are asserted identical each iteration,
@@ -34,6 +40,24 @@ use xtwig_core::engine::EngineOptions;
 use xtwig_core::{parse_xpath, QueryEngine, Strategy};
 use xtwig_net::{Client, Server};
 use xtwig_service::{Catalog, CatalogOptions, ServiceOptions};
+use xtwig_xml::XmlForest;
+
+/// Ids in the `wire/query_large` answer: 1,500 × 8 bytes is well over
+/// 8 KiB.
+const LARGE_ANSWER_IDS: usize = 1500;
+
+/// A shelf of `n` books: `//book` answers with `n` ids.
+fn shelf_forest(n: usize) -> XmlForest {
+    let mut f = XmlForest::new();
+    let mut b = f.builder();
+    b.open("shelf");
+    for i in 0..n {
+        b.leaf("book", &format!("b{i}"));
+    }
+    b.close();
+    b.finish();
+    f
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -71,6 +95,16 @@ fn main() {
     );
     engine.persist(dir.join("xmark.xtwig")).expect("persist");
     drop(engine);
+    let shelf = QueryEngine::build(
+        shelf_forest(LARGE_ANSWER_IDS),
+        EngineOptions {
+            strategies: vec![Strategy::RootPaths],
+            pool_pages: POOL_PAGES,
+            ..Default::default()
+        },
+    );
+    shelf.persist(dir.join("shelf.xtwig")).expect("persist shelf");
+    drop(shelf);
 
     // Result cache off: every sample through either door is a real
     // execution, so the wire/inproc gap is transport, not cache luck.
@@ -79,6 +113,7 @@ fn main() {
         ..Default::default()
     }));
     catalog.register("xmark", dir.join("xmark.xtwig"));
+    catalog.register("shelf", dir.join("shelf.xtwig"));
     let server = Server::bind("127.0.0.1:0", catalog.clone()).expect("bind");
     let handle = server.handle().expect("handle");
     let server_thread = std::thread::spawn(move || server.run());
@@ -121,6 +156,26 @@ fn main() {
         time_loop(warmup, iters, || {
             let a = client.query("xmark", "//person/name", "RP").expect("wire query");
             assert_eq!(a.ids, expected, "wire answer drifted from in-process");
+        }),
+    );
+
+    // An answer too large for one socket-buffer-sized write.
+    let books = parse_xpath("//book").expect("query parses");
+    let shelf = catalog.get("shelf").expect("open persisted shelf");
+    let large: Vec<u64> = shelf
+        .execute(&books, Strategy::RootPaths)
+        .expect("in-process answer")
+        .ids
+        .iter()
+        .copied()
+        .collect();
+    assert_eq!(large.len(), LARGE_ANSWER_IDS);
+    println!("query //book on the shelf: {} result(s)", large.len());
+    timings.record(
+        "wire/query_large",
+        time_loop(warmup, iters, || {
+            let a = client.query("shelf", "//book", "RP").expect("wire query");
+            assert_eq!(a.ids, large, "wire answer drifted from in-process");
         }),
     );
 

@@ -107,6 +107,13 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// A writer that appends after `buf`'s existing bytes, so a caller
+    /// can encode straight into a buffer it reuses instead of encoding
+    /// into a fresh one and copying.
+    pub fn with_buffer(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
     /// Appends one byte.
     pub fn push_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -662,8 +669,10 @@ impl QueryEngine<Arc<XmlForest>> {
     ///
     /// Every stored strategy digest is verified against the reopened
     /// pools ([`BufferPool::content_hash`] over the extent-backed page
-    /// images); the pools are then dropped back to a cold cache so the
-    /// first query after open performs real physical reads.
+    /// images). The scan reads pages around the pools rather than into
+    /// them, so the engine opens with cold pools and no materialized
+    /// frames, and the first query after open performs real physical
+    /// reads.
     pub fn open_with_report<P: AsRef<Path>>(path: P) -> Result<(Self, OpenReport), OpenError> {
         // Read-only: the file is a sealed artifact (every write on the
         // reopen path goes to the ExtentBackend overlay), so a chmod
@@ -816,15 +825,10 @@ impl QueryEngine<Arc<XmlForest>> {
                 return Err(OpenError::DigestMismatch { strategy: s, stored, computed });
             }
         }
-        // Digest verification touched every page; drop back to a cold
-        // cache so the first query after open measures real physical
-        // reads (stats reset with it).
-        for &s in &Strategy::ALL {
-            for pool in engine.pools_for(s) {
-                pool.clear_cache();
-                pool.stats().reset();
-            }
-        }
+        // No cache reset follows: reattachment fetches no page and the
+        // digest scan reads around the pools, so every pool is still
+        // cold with zeroed stats and the first query measures real
+        // physical reads.
 
         let strategies = engine.built_strategies();
         let report = OpenReport {

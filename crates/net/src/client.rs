@@ -1,11 +1,11 @@
 //! A blocking client for the xtwig wire protocol: one TCP connection,
 //! strict request/response alternation.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::{read_frame, FrameError, FrameWriter};
 use crate::proto::{ErrorCode, Request, Response, TraceContext, WireEvent, WireOp};
 
 /// Why a client call failed.
@@ -74,9 +74,12 @@ pub struct WireAnswer {
 /// echoes the id back and the client verifies it, so a desynchronized
 /// response stream surfaces as a typed error instead of silent
 /// misattribution.
+///
+/// The socket is `TCP_NODELAY` and every request frame leaves in one
+/// `write` call, encoded in place into a reused buffer.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: FrameWriter<TcpStream>,
     next_id: u64,
     sample: bool,
     last_request_id: u64,
@@ -97,10 +100,11 @@ impl Client {
         let stream = TcpStream::connect(addr).map_err(ClientError::Connect)?;
         stream.set_read_timeout(timeout).map_err(ClientError::Connect)?;
         stream.set_write_timeout(timeout).map_err(ClientError::Connect)?;
+        stream.set_nodelay(true).map_err(ClientError::Connect)?;
         let read_half = stream.try_clone().map_err(ClientError::Connect)?;
         Ok(Client {
             reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
+            writer: FrameWriter::new(stream),
             next_id: 1,
             sample: false,
             last_request_id: 0,
@@ -126,8 +130,7 @@ impl Client {
         let ctx = TraceContext { request_id: self.next_id, sample: self.sample };
         self.next_id += 1;
         self.last_request_id = ctx.request_id;
-        let (op, payload) = req.encode_enveloped(ctx);
-        write_frame(&mut self.writer, op, &payload)?;
+        self.writer.send(|buf| req.encode_into(Some(ctx), buf))?;
         let frame = read_frame(&mut self.reader)?;
         let (echoed, resp) =
             Response::decode_enveloped(&frame).map_err(|e| ClientError::Decode(e.0))?;
@@ -251,8 +254,9 @@ impl Client {
     /// smoke uses to check that garbage gets a typed error, not a hang.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<Response, ClientError> {
         use std::io::Write;
-        self.writer.write_all(bytes).map_err(FrameError::Io)?;
-        self.writer.flush().map_err(FrameError::Io)?;
+        let stream = self.writer.get_mut();
+        stream.write_all(bytes).map_err(FrameError::Io)?;
+        stream.flush().map_err(FrameError::Io)?;
         let frame = read_frame(&mut self.reader)?;
         Response::decode(&frame).map_err(|e| ClientError::Decode(e.0))
     }

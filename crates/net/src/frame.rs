@@ -16,6 +16,16 @@
 //! peer allocate gigabytes. Payload semantics live one layer up in
 //! [`crate::proto`] — this module neither knows nor cares what the
 //! opcode means, which is what makes it independently fuzzable.
+//!
+//! A frame leaves in one `write` call, header and payload together.
+//! [`FrameWriter`] owns a connection's stream and one reusable buffer:
+//! it reserves the header, lets the caller encode the payload straight
+//! in behind it, fills in the length and sends the lot. A header
+//! written apart from its payload is a small segment followed by a
+//! large one, which Nagle's algorithm holds back until the peer's
+//! delayed ACK fires — tens of milliseconds per answer. Both endpoints
+//! also set `TCP_NODELAY`, so a frame goes out as soon as it is
+//! written.
 
 use std::io::{Read, Write};
 
@@ -77,23 +87,87 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame. A payload over [`MAX_FRAME_LEN`] is refused with
-/// [`FrameError::Oversized`] before any byte is written, so the stream
-/// stays frame-aligned and usable. A partial write surfaces as `Io`;
-/// the stream is unusable afterwards (framing is lost), so callers
-/// drop it.
+/// A frame buffer that grew past this many bytes (one unusually large
+/// answer) is released after sending instead of pinning the memory for
+/// the rest of the connection.
+const RETAINED_BUF_BYTES: usize = 1 << 20;
+
+fn header(opcode: u8, len: usize) -> [u8; FRAME_OVERHEAD] {
+    let mut header = [0u8; FRAME_OVERHEAD];
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = opcode;
+    header[5..9].copy_from_slice(&(len as u32).to_le_bytes());
+    header
+}
+
+/// The write side of one connection: the stream plus one reusable
+/// buffer that each frame is built in, so header and payload leave in
+/// a single `write` call (see the module docs for why that matters).
+pub struct FrameWriter<W> {
+    inner: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    /// Wraps `inner`; the buffer grows to the largest frame sent.
+    pub fn new(inner: W) -> Self {
+        FrameWriter { inner, buf: Vec::new() }
+    }
+
+    /// Builds one frame and sends it with one write. `body` appends the
+    /// payload to the buffer, behind the reserved header, and returns
+    /// the opcode; the header's length is filled in afterwards. Returns
+    /// the payload length.
+    ///
+    /// A payload over [`MAX_FRAME_LEN`] is refused with
+    /// [`FrameError::Oversized`] before any byte is written, so the
+    /// stream stays frame-aligned and usable. A partial write surfaces
+    /// as `Io`; the stream is unusable afterwards (framing is lost), so
+    /// callers drop it.
+    pub fn send(&mut self, body: impl FnOnce(&mut Vec<u8>) -> u8) -> Result<usize, FrameError> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; FRAME_OVERHEAD]);
+        let opcode = body(&mut self.buf);
+        let len = self.buf.len().saturating_sub(FRAME_OVERHEAD);
+        let sent = if len > MAX_FRAME_LEN {
+            Err(FrameError::Oversized(len))
+        } else {
+            if let Some(slot) = self.buf.get_mut(..FRAME_OVERHEAD) {
+                slot.copy_from_slice(&header(opcode, len));
+            }
+            self.inner
+                .write_all(&self.buf)
+                .and_then(|()| self.inner.flush())
+                .map(|()| len)
+                .map_err(FrameError::Io)
+        };
+        if self.buf.capacity() > RETAINED_BUF_BYTES {
+            self.buf = Vec::new();
+        }
+        sent
+    }
+
+    /// The underlying stream, for writes that bypass framing.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.inner
+    }
+}
+
+/// Writes one frame holding an already-encoded payload, in one write
+/// call. Refusal and failure behave as in [`FrameWriter::send`];
+/// connections that send many frames keep a [`FrameWriter`] instead,
+/// so the payload is encoded in place rather than copied.
 pub fn write_frame<W: Write>(w: &mut W, opcode: u8, payload: &[u8]) -> Result<(), FrameError> {
+    // Refuse before copying up to 16 MiB into the frame buffer.
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(payload.len()));
     }
-    let mut header = [0u8; 9];
-    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4] = opcode;
-    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+    FrameWriter::new(w)
+        .send(|buf| {
+            buf.extend_from_slice(payload);
+            opcode
+        })
+        .map(drop)
 }
 
 /// Reads one frame, validating magic and length before allocating.
@@ -178,6 +252,68 @@ mod tests {
         write_frame(&mut buf, 0x81, b"ok").unwrap();
         let frame = read_frame(&mut Cursor::new(buf)).unwrap();
         assert_eq!(frame.payload, b"ok");
+    }
+
+    /// Records every `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_a_socket_buffer_leaves_in_one_write() {
+        let payload: Vec<u8> = (0..9 * 1024).map(|i| i as u8).collect();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, 0x82, &payload).unwrap();
+        assert_eq!(w.writes.len(), 1, "header and payload must go out in one write call");
+        let frame = read_frame(&mut Cursor::new(&w.writes[0])).unwrap();
+        assert_eq!((frame.opcode, frame.payload), (0x82, payload.clone()));
+
+        // The reusable writer: same bytes, one write per frame, and the
+        // header length is filled in after the body is appended.
+        let mut fw = FrameWriter::new(CountingWriter::default());
+        for _ in 0..2 {
+            let len = fw
+                .send(|buf| {
+                    buf.extend_from_slice(&payload);
+                    0x82
+                })
+                .unwrap();
+            assert_eq!(len, payload.len());
+        }
+        assert_eq!(fw.get_mut().writes.len(), 2);
+        assert!(fw.get_mut().writes.iter().all(|bytes| *bytes == w.writes[0]));
+    }
+
+    #[test]
+    fn frame_writer_refuses_an_oversized_body_and_keeps_serving() {
+        let mut fw = FrameWriter::new(CountingWriter::default());
+        let err = fw
+            .send(|buf| {
+                buf.resize(buf.len() + MAX_FRAME_LEN + 1, 0);
+                0x82
+            })
+            .unwrap_err();
+        assert!(matches!(err, FrameError::Oversized(n) if n == MAX_FRAME_LEN + 1));
+        assert!(fw.get_mut().writes.is_empty(), "no byte of a refused frame goes out");
+        fw.send(|buf| {
+            buf.extend_from_slice(b"ok");
+            0x85
+        })
+        .unwrap();
+        let frame = read_frame(&mut Cursor::new(&fw.get_mut().writes[0])).unwrap();
+        assert_eq!((frame.opcode, frame.payload.as_slice()), (0x85, b"ok".as_slice()));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * [`frame`] — the byte layer: `[magic][opcode][len][payload]`
 //!   frames with a hard payload bound, so a garbage prefix can neither
-//!   desynchronize the peer silently nor drive allocation.
+//!   desynchronize the peer silently nor drive allocation. Each frame
+//!   leaves in one `write` call on a `TCP_NODELAY` socket.
 //! * [`proto`] — the message layer: [`proto::Request`] /
 //!   [`proto::Response`] encoded with the same `ByteWriter` /
 //!   `ByteReader` primitives the index file format uses. Strict
@@ -44,7 +45,9 @@ pub mod proto;
 pub mod server;
 
 pub use client::{Client, ClientError, WireAnswer};
-pub use frame::{read_frame, write_frame, Frame, FrameError, FRAME_OVERHEAD, MAGIC, MAX_FRAME_LEN};
+pub use frame::{
+    read_frame, write_frame, Frame, FrameError, FrameWriter, FRAME_OVERHEAD, MAGIC, MAX_FRAME_LEN,
+};
 pub use proto::{ErrorCode, Request, Response, TraceContext, WireEvent, WireOp};
 pub use server::{
     handle_request, handle_request_ctx, ConnStats, Server, ServerHandle, ServerOptions,

@@ -339,65 +339,84 @@ fn done(r: &ByteReader<'_>) -> Result<(), FormatError> {
 }
 
 impl Request {
-    /// Serializes into an opcode + payload ready for
-    /// [`crate::frame::write_frame`].
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = ByteWriter::new();
-        let opcode = match self {
+    fn opcode(&self) -> u8 {
+        match self {
             Request::Ping => OP_PING,
+            Request::Query { .. } => OP_QUERY,
+            Request::Explain { .. } => OP_EXPLAIN,
+            Request::Update { .. } => OP_UPDATE,
+            Request::Metrics { .. } => OP_METRICS,
+            Request::CatalogList => OP_CATALOG_LIST,
+            Request::Stats { .. } => OP_STATS,
+            Request::Trace { .. } => OP_TRACE,
+            Request::Events { .. } => OP_EVENTS,
+            Request::Shutdown => OP_SHUTDOWN,
+        }
+    }
+
+    fn push_body(&self, w: &mut ByteWriter) {
+        match self {
+            Request::Ping | Request::CatalogList | Request::Shutdown => {}
             Request::Query { index, xpath, strategy } => {
                 w.push_str(index);
                 w.push_str(xpath);
                 w.push_str(strategy);
-                OP_QUERY
             }
             Request::Explain { index, xpath } => {
                 w.push_str(index);
                 w.push_str(xpath);
-                OP_EXPLAIN
             }
             Request::Update { index, ops } => {
                 w.push_str(index);
                 w.push_u32(ops.len() as u32);
                 for op in ops {
-                    push_wire_op(&mut w, op);
+                    push_wire_op(w, op);
                 }
-                OP_UPDATE
             }
-            Request::Metrics { index } => {
-                w.push_str(index);
-                OP_METRICS
-            }
-            Request::CatalogList => OP_CATALOG_LIST,
-            Request::Stats { index } => {
-                w.push_str(index);
-                OP_STATS
-            }
+            Request::Metrics { index } | Request::Stats { index } => w.push_str(index),
             Request::Trace { index, request_id } => {
                 w.push_str(index);
                 w.push_u64(*request_id);
-                OP_TRACE
             }
             Request::Events { after, max } => {
                 w.push_u64(*after);
                 w.push_u32(*max);
-                OP_EVENTS
             }
-            Request::Shutdown => OP_SHUTDOWN,
+        }
+    }
+
+    /// Appends this request's frame payload to `buf` — inside the v2
+    /// trace envelope when `ctx` is given — and returns the frame
+    /// opcode. The one request encoder: the client calls it through
+    /// [`crate::frame::FrameWriter::send`], so the payload is built in
+    /// place behind the frame header.
+    pub fn encode_into(&self, ctx: Option<TraceContext>, buf: &mut Vec<u8>) -> u8 {
+        let mut w = ByteWriter::with_buffer(std::mem::take(buf));
+        let opcode = match ctx {
+            Some(ctx) => {
+                w.push_u64(ctx.request_id);
+                w.push_bool(ctx.sample);
+                w.push_u8(self.opcode());
+                OP_TRACED
+            }
+            None => self.opcode(),
         };
-        (opcode, w.finish())
+        self.push_body(&mut w);
+        *buf = w.finish();
+        opcode
+    }
+
+    /// Serializes into an opcode + payload ready for
+    /// [`crate::frame::write_frame`].
+    pub fn encode(&self) -> (u8, Vec<u8>) {
+        let mut payload = Vec::new();
+        (self.encode_into(None, &mut payload), payload)
     }
 
     /// [`Request::encode`] wrapped in the v2 trace envelope.
     pub fn encode_enveloped(&self, ctx: TraceContext) -> (u8, Vec<u8>) {
-        let (inner_op, inner_payload) = self.encode();
-        let mut w = ByteWriter::new();
-        w.push_u64(ctx.request_id);
-        w.push_bool(ctx.sample);
-        w.push_u8(inner_op);
-        let mut payload = w.finish();
-        payload.extend_from_slice(&inner_payload);
-        (OP_TRACED, payload)
+        let mut payload = Vec::new();
+        (self.encode_into(Some(ctx), &mut payload), payload)
     }
 
     /// The opcode dispatch both entry points share. Reads one request
@@ -457,12 +476,21 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes into an opcode + payload ready for
-    /// [`crate::frame::write_frame`].
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = ByteWriter::new();
-        let opcode = match self {
+    fn opcode(&self) -> u8 {
+        match self {
             Response::Pong => OP_PONG,
+            Response::Answer { .. } => OP_ANSWER,
+            Response::Text(_) => OP_TEXT,
+            Response::UpdateAck { .. } => OP_UPDATE_ACK,
+            Response::Error { .. } => OP_ERROR,
+            Response::Events { .. } => OP_EVENTS_RESP,
+            Response::ShutdownAck => OP_SHUTDOWN_ACK,
+        }
+    }
+
+    fn push_body(&self, w: &mut ByteWriter) {
+        match self {
+            Response::Pong | Response::ShutdownAck => {}
             Response::Answer { strategy, plan, from_cache, micros, ids } => {
                 w.push_str(strategy);
                 w.push_str(plan);
@@ -472,20 +500,12 @@ impl Response {
                 for id in ids {
                     w.push_u64(*id);
                 }
-                OP_ANSWER
             }
-            Response::Text(text) => {
-                w.push_str(text);
-                OP_TEXT
-            }
-            Response::UpdateAck { generation } => {
-                w.push_u64(*generation);
-                OP_UPDATE_ACK
-            }
+            Response::Text(text) => w.push_str(text),
+            Response::UpdateAck { generation } => w.push_u64(*generation),
             Response::Error { code, message } => {
                 w.push_u8(*code as u8);
                 w.push_str(message);
-                OP_ERROR
             }
             Response::Events { events } => {
                 w.push_u32(events.len() as u32);
@@ -495,23 +515,42 @@ impl Response {
                     w.push_str(&e.kind);
                     w.push_str(&e.detail);
                 }
-                OP_EVENTS_RESP
             }
-            Response::ShutdownAck => OP_SHUTDOWN_ACK,
+        }
+    }
+
+    /// Appends this response's frame payload to `buf` — inside the v2
+    /// envelope echoing `request_id` when one is given — and returns
+    /// the frame opcode. The one response encoder: the server calls it
+    /// through [`crate::frame::FrameWriter::send`], so an answer's ids
+    /// are encoded in place behind the frame header, never copied.
+    pub fn encode_into(&self, request_id: Option<u64>, buf: &mut Vec<u8>) -> u8 {
+        let mut w = ByteWriter::with_buffer(std::mem::take(buf));
+        let opcode = match request_id {
+            Some(id) => {
+                w.push_u64(id);
+                w.push_u8(self.opcode());
+                OP_TRACED_RESP
+            }
+            None => self.opcode(),
         };
-        (opcode, w.finish())
+        self.push_body(&mut w);
+        *buf = w.finish();
+        opcode
+    }
+
+    /// Serializes into an opcode + payload ready for
+    /// [`crate::frame::write_frame`].
+    pub fn encode(&self) -> (u8, Vec<u8>) {
+        let mut payload = Vec::new();
+        (self.encode_into(None, &mut payload), payload)
     }
 
     /// [`Response::encode`] wrapped in the v2 envelope echoing
     /// `request_id`.
     pub fn encode_enveloped(&self, request_id: u64) -> (u8, Vec<u8>) {
-        let (inner_op, inner_payload) = self.encode();
-        let mut w = ByteWriter::new();
-        w.push_u64(request_id);
-        w.push_u8(inner_op);
-        let mut payload = w.finish();
-        payload.extend_from_slice(&inner_payload);
-        (OP_TRACED_RESP, payload)
+        let mut payload = Vec::new();
+        (self.encode_into(Some(request_id), &mut payload), payload)
     }
 
     fn decode_op(opcode: u8, r: &mut ByteReader<'_>) -> Result<Response, FormatError> {
@@ -648,6 +687,138 @@ mod tests {
         };
         assert_eq!(too_large.encode().1.first(), Some(&10), "wire code of ResultTooLarge");
         roundtrip_response(too_large);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One frame, built the way the endpoints build it: encoded in
+    /// place behind the reserved header of a [`FrameWriter`].
+    fn framed(encode: impl FnOnce(&mut Vec<u8>) -> u8) -> String {
+        let mut w = crate::frame::FrameWriter::new(Vec::new());
+        w.send(encode).unwrap();
+        hex(w.get_mut())
+    }
+
+    /// One frame from a separately encoded payload via `write_frame`.
+    fn written((opcode, payload): (u8, Vec<u8>)) -> String {
+        let mut out = Vec::new();
+        crate::frame::write_frame(&mut out, opcode, &payload).unwrap();
+        hex(&out)
+    }
+
+    /// Complete frames, bare and enveloped, for every variant — the
+    /// bytes the copy-then-frame encoder produced before payloads were
+    /// encoded in place. The wire format must not move.
+    #[test]
+    fn every_variant_encodes_to_the_pinned_frame_bytes() {
+        let ctx = TraceContext { request_id: 0x0102_0304_0506_0708, sample: true };
+        let requests = [
+            (Request::Ping, "585457470100000000", "585457470a0a00000008070605040302010101"),
+            (
+                Request::Query { index: "x".into(), xpath: "//a[b='c']".into(), strategy: "auto".into() },
+                "5854574702270000000100000000000000780a000000000000002f2f615b623d2763275d04000000000000006175746f",
+                "585457470a31000000080706050403020101020100000000000000780a000000000000002f2f615b623d2763275d04000000000000006175746f",
+            ),
+            (
+                Request::Explain { index: "x".into(), xpath: "//b".into() },
+                "58545747041400000001000000000000007803000000000000002f2f62",
+                "585457470a1e0000000807060504030201010401000000000000007803000000000000002f2f62",
+            ),
+            (
+                Request::Update {
+                    index: "x".into(),
+                    ops: vec![
+                        WireOp {
+                            insert: true,
+                            tags: vec!["b".into(), "t".into()],
+                            ids: vec![900, 901],
+                            value: Some("v".into()),
+                        },
+                        WireOp { insert: false, tags: vec!["b".into()], ids: vec![900], value: None },
+                    ],
+                },
+                "58545747055d000000010000000000000078020000000102000000010000000000000062010000000000000074020000008403000000000000850300000000000001010000000000000076000100000001000000000000006201000000840300000000000000",
+                "585457470a6700000008070605040302010105010000000000000078020000000102000000010000000000000062010000000000000074020000008403000000000000850300000000000001010000000000000076000100000001000000000000006201000000840300000000000000",
+            ),
+            (
+                Request::Metrics { index: "x".into() },
+                "585457470609000000010000000000000078",
+                "585457470a1300000008070605040302010106010000000000000078",
+            ),
+            (Request::CatalogList, "585457470700000000", "585457470a0a00000008070605040302010107"),
+            (
+                Request::Stats { index: "x".into() },
+                "585457470809000000010000000000000078",
+                "585457470a1300000008070605040302010108010000000000000078",
+            ),
+            (
+                Request::Trace { index: "x".into(), request_id: 99 },
+                "585457470b110000000100000000000000786300000000000000",
+                "585457470a1b0000000807060504030201010b0100000000000000786300000000000000",
+            ),
+            (
+                Request::Events { after: 12, max: 64 },
+                "585457470c0c0000000c0000000000000040000000",
+                "585457470a160000000807060504030201010c0c0000000000000040000000",
+            ),
+            (Request::Shutdown, "585457470900000000", "585457470a0a00000008070605040302010109"),
+        ];
+        for (req, bare, enveloped) in requests {
+            assert_eq!(framed(|buf| req.encode_into(None, buf)), bare, "{req:?}");
+            assert_eq!(framed(|buf| req.encode_into(Some(ctx), buf)), enveloped, "{req:?}");
+            assert_eq!(written(req.encode()), bare, "{req:?}");
+            assert_eq!(written(req.encode_enveloped(ctx)), enveloped, "{req:?}");
+        }
+        let responses = [
+            (Response::Pong, "585457478100000000", "5854574787090000002a0000000000000081"),
+            (
+                Response::Answer {
+                    strategy: "RP".into(),
+                    plan: "Merge".into(),
+                    from_cache: true,
+                    micros: 42,
+                    ids: vec![1, 5, 9],
+                },
+                "58545747823c0000000200000000000000525005000000000000004d65726765012a0000000000000003000000010000000000000005000000000000000900000000000000",
+                "5854574787450000002a00000000000000820200000000000000525005000000000000004d65726765012a0000000000000003000000010000000000000005000000000000000900000000000000",
+            ),
+            (
+                Response::Text("m 3\n".into()),
+                "58545747830c00000004000000000000006d20330a",
+                "5854574787150000002a000000000000008304000000000000006d20330a",
+            ),
+            (
+                Response::UpdateAck { generation: 7 },
+                "5854574784080000000700000000000000",
+                "5854574787110000002a00000000000000840700000000000000",
+            ),
+            (
+                Response::Error { code: ErrorCode::ResultTooLarge, message: "big".into() },
+                "58545747850c0000000a0300000000000000626967",
+                "5854574787150000002a00000000000000850a0300000000000000626967",
+            ),
+            (
+                Response::Events {
+                    events: vec![WireEvent {
+                        seq: 3,
+                        unix_micros: 1_700_000_000_000_000,
+                        kind: "k".into(),
+                        detail: "d".into(),
+                    }],
+                },
+                "58545747882600000001000000030000000000000000401e18240a060001000000000000006b010000000000000064",
+                "58545747872f0000002a000000000000008801000000030000000000000000401e18240a060001000000000000006b010000000000000064",
+            ),
+            (Response::ShutdownAck, "585457478600000000", "5854574787090000002a0000000000000086"),
+        ];
+        for (resp, bare, enveloped) in responses {
+            assert_eq!(framed(|buf| resp.encode_into(None, buf)), bare, "{resp:?}");
+            assert_eq!(framed(|buf| resp.encode_into(Some(42), buf)), enveloped, "{resp:?}");
+            assert_eq!(written(resp.encode()), bare, "{resp:?}");
+            assert_eq!(written(resp.encode_enveloped(42)), enveloped, "{resp:?}");
+        }
     }
 
     #[test]

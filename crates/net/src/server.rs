@@ -16,13 +16,17 @@
 //! client gets a typed `ResultTooLarge` error and the connection keeps
 //! serving.
 //!
+//! Write path: every connection socket is `TCP_NODELAY`, and each
+//! response is encoded in place into the connection's
+//! [`FrameWriter`] buffer and leaves in one `write` call (see
+//! [`crate::frame`]).
+//!
 //! Observability: every connection is journaled (`ConnOpen`/`ConnClose`
 //! with frame/byte/error accounting), requests wrapped in the v2 trace
 //! envelope thread their [`RequestCtx`] into the service so slow-query
 //! records carry the request id + peer, and the optional access log
 //! writes one line per request to stderr.
 
-use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,7 +38,7 @@ use xtwig_service::{
     Catalog, CatalogError, Event, RequestCtx, ServiceError, TwigService, UpdateOp,
 };
 
-use crate::frame::{read_frame, write_frame, FrameError, FRAME_OVERHEAD};
+use crate::frame::{read_frame, FrameError, FrameWriter, FRAME_OVERHEAD};
 use crate::proto::{ErrorCode, Request, Response, WireEvent, WireOp};
 
 /// Largest `Events` page the server will serve, whatever the client
@@ -191,6 +195,12 @@ fn serve_connection(
             detail: format!("set_read_timeout failed for {peer}: {e}"),
         });
     }
+    // Each frame leaves in one write; without no-delay, Nagle could
+    // still hold a large frame's last partial segment until the peer
+    // ACKs the segments before it.
+    if let Err(e) = stream.set_nodelay(true) {
+        events.emit(Event::ServerError { detail: format!("set_nodelay failed for {peer}: {e}") });
+    }
     let Ok(read_half) = stream.try_clone() else { return };
     // Closing on exit must be explicit: the server's shutdown registry
     // holds another clone of this stream, so merely dropping our
@@ -198,7 +208,7 @@ fn serve_connection(
     let closer = stream.try_clone().ok();
     events.emit(Event::ConnOpen { peer: peer.clone() });
     let mut reader = std::io::BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = FrameWriter::new(stream);
     let mut stats = ConnStats::default();
     serve_loop(&mut reader, &mut writer, catalog, stop, server_addr, options, &peer, &mut stats);
     events.emit(Event::ConnClose {
@@ -218,7 +228,7 @@ fn serve_connection(
 #[allow(clippy::too_many_arguments)] // one call site; splitting would just rename the args
 fn serve_loop(
     reader: &mut std::io::BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut FrameWriter<TcpStream>,
     catalog: &Catalog,
     stop: &Arc<AtomicBool>,
     server_addr: SocketAddr,
@@ -238,11 +248,10 @@ fn serve_loop(
                 // longer frame-aligned, so nothing after it is
                 // trustworthy.
                 let resp = Response::Error { code: ErrorCode::Malformed, message: e.to_string() };
-                let (op, payload) = resp.encode();
                 stats.errors += 1;
-                if write_frame(writer, op, &payload).is_ok() {
+                if let Ok(len) = writer.send(|buf| resp.encode_into(None, buf)) {
                     stats.frames_out += 1;
-                    stats.bytes_out += (FRAME_OVERHEAD + payload.len()) as u64;
+                    stats.bytes_out += (FRAME_OVERHEAD + len) as u64;
                 }
                 return;
             }
@@ -275,24 +284,18 @@ fn serve_loop(
         };
         // Echo the request id back inside the envelope iff the request
         // arrived enveloped; bare v1 requests get bare v1 responses.
-        let encode = |resp: &Response| match ctx {
-            Some(c) => resp.encode_enveloped(c.request_id),
-            None => resp.encode(),
-        };
-        let (op, payload) = encode(&resp);
+        let request_id = ctx.map(|c| c.request_id);
         let mut is_error = matches!(resp, Response::Error { .. });
-        let sent = match write_frame(writer, op, &payload) {
-            Ok(()) => Ok(payload.len()),
+        let sent = match writer.send(|buf| resp.encode_into(request_id, buf)) {
             // Refused before any byte went out, so framing holds: answer
             // with a typed error instead and keep serving.
             Err(e @ FrameError::Oversized(_)) => {
                 is_error = true;
                 let resp =
                     Response::Error { code: ErrorCode::ResultTooLarge, message: e.to_string() };
-                let (op, payload) = encode(&resp);
-                write_frame(writer, op, &payload).map(|()| payload.len())
+                writer.send(|buf| resp.encode_into(request_id, buf))
             }
-            Err(e) => Err(e),
+            sent => sent,
         };
         if is_error {
             stats.errors += 1;

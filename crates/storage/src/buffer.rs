@@ -11,6 +11,15 @@
 //! least-recently-used unpinned frame (timestamp scan — O(frames), which
 //! is fine at the pool sizes used here).
 //!
+//! Frames materialize on first use: a frame's 8 KiB page buffer is
+//! allocated when the frame first holds a page, not when the pool is
+//! created. A pool costs a few words per frame until it caches pages,
+//! which matters because reopened pools are sized to their whole
+//! extent and every MVCC commit forks a fresh, cold pool
+//! ([`BufferPool::cow_fork`]). [`BufferPool::content_hash`] reads
+//! non-resident pages straight from the backend, so verifying an index
+//! at open neither warms the pool nor materializes a frame.
+//!
 //! Read-path concurrency audit (the invariants `xtwig-service` relies
 //! on; guarded by `tests/pool_stress.rs`):
 //!
@@ -46,13 +55,31 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RawRwLock, RwL
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 struct Frame {
-    data: Arc<RwLock<PageBuf>>,
+    /// The page buffer, allocated on the frame's first install.
+    page: OnceLock<Arc<RwLock<PageBuf>>>,
     pin: AtomicUsize,
     dirty: AtomicBool,
     last_used: AtomicU64,
+}
+
+impl Frame {
+    /// The frame's page buffer, materializing it on first use.
+    fn data(&self) -> &Arc<RwLock<PageBuf>> {
+        self.page.get_or_init(|| Arc::new(RwLock::new(PageBuf::zeroed())))
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 struct PoolInner {
@@ -73,12 +100,13 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a pool of `capacity` frames over `disk`.
+    /// Creates a pool of `capacity` frames over `disk`. No page buffer
+    /// is allocated until a frame first holds a page.
     pub fn new(disk: DiskManager, capacity: usize) -> Self {
         assert!(capacity >= 2, "buffer pool needs at least 2 frames");
         let frames = (0..capacity)
             .map(|_| Frame {
-                data: Arc::new(RwLock::new(PageBuf::zeroed())),
+                page: OnceLock::new(),
                 pin: AtomicUsize::new(0),
                 dirty: AtomicBool::new(false),
                 last_used: AtomicU64::new(0),
@@ -139,18 +167,37 @@ impl BufferPool {
     }
 
     /// FNV-1a hash over the byte content of every allocated page, in
-    /// page-id order. Dirty resident frames are read through the pool,
-    /// so the hash reflects the latest content even before write-back.
-    /// Two pools built the same way hash equal iff their page images
-    /// are byte-identical — the assertion behind the sharded-build
-    /// equivalence tests (`QueryEngine::structure_digest`).
+    /// page-id order. Two pools built the same way hash equal iff their
+    /// page images are byte-identical — the assertion behind the
+    /// sharded-build equivalence tests and the digest check at index
+    /// open (`QueryEngine::structure_digest`).
+    ///
+    /// Residency is decided per page under the pool mutex. A resident
+    /// page is hashed through its frame, so dirty content counts before
+    /// write-back. Any other page is read from the backend into one
+    /// scratch buffer without being installed: the scan neither evicts,
+    /// warms nor materializes frames, and records no page reads.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for pid in 0..self.num_pages() {
-            let guard = self.fetch(PageId(pid));
-            for &b in guard.iter() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = FNV_OFFSET;
+        let mut scratch = PageBuf::zeroed();
+        for pid in (0..self.num_pages()).map(PageId) {
+            let inner = self.inner.lock();
+            if let Some(&idx) = inner.table.get(&pid) {
+                // The pin keeps the frame from eviction once the mutex
+                // is released; the content lock is taken only after.
+                let frame = &self.frames[idx];
+                frame.pin.fetch_add(1, Ordering::SeqCst);
+                drop(inner);
+                let _pin = PinToken { pool: self, frame_idx: idx };
+                let data = frame.data();
+                h = fnv1a_extend(h, data.read().bytes());
+            } else {
+                // Held across the read so the page cannot be installed
+                // and dirtied in between; eviction writes back under the
+                // same mutex, so the backend copy is the latest.
+                self.disk.read_page(pid, scratch.bytes_mut());
+                drop(inner);
+                h = fnv1a_extend(h, scratch.bytes());
             }
         }
         h
@@ -165,7 +212,8 @@ impl BufferPool {
     /// Forks this pool into an independent copy-on-write sibling: the
     /// fork starts cold over a [`DiskManager::fork_cow`] view of the
     /// current page image, so writes through the fork never reach this
-    /// pool's backend (and vice versa).
+    /// pool's backend (and vice versa). The fork materializes no frame
+    /// until it caches a page.
     ///
     /// Dirty resident frames are flushed down to the backend first so
     /// the fork's view is complete. Frames pinned *dirty* by an
@@ -195,7 +243,7 @@ impl BufferPool {
         let frame_idx = self.install(pid, false);
         let frame = &self.frames[frame_idx];
         frame.dirty.store(true, Ordering::Relaxed);
-        let guard = frame.data.write_arc();
+        let guard = frame.data().write_arc();
         (
             pid,
             PageWriteGuard {
@@ -211,7 +259,7 @@ impl BufferPool {
     pub fn fetch(&self, pid: PageId) -> PageReadGuard<'_> {
         self.stats.record_logical();
         let frame_idx = self.lookup_or_load(pid);
-        let guard = self.frames[frame_idx].data.read_arc();
+        let guard = self.frames[frame_idx].data().read_arc();
         PageReadGuard { guard, _pin: PinToken { pool: self, frame_idx } }
     }
 
@@ -221,7 +269,7 @@ impl BufferPool {
         let frame_idx = self.lookup_or_load(pid);
         let frame = &self.frames[frame_idx];
         frame.dirty.store(true, Ordering::Relaxed);
-        let guard = frame.data.write_arc();
+        let guard = frame.data().write_arc();
         PageWriteGuard { guard, _pin: PinToken { pool: self, frame_idx }, pool: self, frame_idx }
     }
 
@@ -252,8 +300,9 @@ impl BufferPool {
                 continue;
             }
             if frame.dirty.swap(false, Ordering::Relaxed) {
-                let data = frame.data.read();
-                self.disk.write_page(pid, data.bytes());
+                let data = frame.data();
+                let page = data.read();
+                self.disk.write_page(pid, page.bytes());
                 self.stats.record_physical_write();
             }
         }
@@ -324,8 +373,9 @@ impl BufferPool {
             let old = inner.resident[victim];
             let frame = &self.frames[victim];
             if frame.dirty.swap(false, Ordering::Relaxed) {
-                let data = frame.data.read();
-                self.disk.write_page(old, data.bytes());
+                let data = frame.data();
+                let page = data.read();
+                self.disk.write_page(old, page.bytes());
                 self.stats.record_physical_write();
             }
             inner.table.remove(&old);
@@ -336,17 +386,33 @@ impl BufferPool {
         frame.pin.store(1, Ordering::SeqCst);
         self.stats.record_pin();
         {
-            let mut data = frame.data.write();
+            // First install of this frame allocates its page buffer.
+            let data = frame.data();
+            let mut page = data.write();
             if load {
-                self.disk.read_page(pid, data.bytes_mut());
+                self.disk.read_page(pid, page.bytes_mut());
             } else {
-                data.bytes_mut().fill(0);
+                page.bytes_mut().fill(0);
             }
         }
         inner.table.insert(pid, idx);
         inner.resident[idx] = pid;
         self.touch(idx);
         idx
+    }
+
+    /// Frames whose page buffer has been allocated.
+    #[cfg(test)]
+    fn materialized_frames(&self) -> usize {
+        self.frames.iter().filter(|f| f.page.get().is_some()).count()
+    }
+
+    /// Resident page ids, ascending.
+    #[cfg(test)]
+    fn resident_pages(&self) -> Vec<PageId> {
+        let mut pids: Vec<PageId> = self.inner.lock().table.keys().copied().collect();
+        pids.sort();
+        pids
     }
 
     fn pick_victim(&self, inner: &PoolInner) -> usize {
@@ -619,6 +685,71 @@ mod tests {
         assert_eq!(pool.cow_fork().err(), Some(1));
         drop(g);
         assert!(pool.cow_fork().is_ok(), "fork succeeds once the writer finishes");
+    }
+
+    /// A disk of `n` pages, page `i` filled with byte `i + 1`.
+    fn disk_with_pages(n: u8) -> DiskManager {
+        let disk = DiskManager::in_memory();
+        for i in 0..n {
+            let pid = disk.allocate();
+            disk.write_page(pid, &[i + 1; PAGE_SIZE]);
+        }
+        disk
+    }
+
+    #[test]
+    fn frames_materialize_on_first_use_only() {
+        let pool = BufferPool::new(disk_with_pages(10), 5120);
+        assert_eq!(pool.materialized_frames(), 0, "creation allocates no page buffer");
+        // What index open does: hash every page of a cold pool.
+        pool.content_hash();
+        assert_eq!(pool.materialized_frames(), 0, "digest verification warms nothing");
+        assert!(pool.resident_pages().is_empty());
+        for pid in [0, 4, 9] {
+            assert_eq!(pool.fetch(PageId(pid))[0], pid as u8 + 1);
+        }
+        drop(pool.fetch(PageId(4))); // a hit reuses its frame
+        assert_eq!(pool.materialized_frames(), 3);
+    }
+
+    #[test]
+    fn cow_fork_of_a_warm_pool_materializes_nothing_in_the_fork() {
+        let pool = BufferPool::new(disk_with_pages(10), 64);
+        for pid in 0..10 {
+            drop(pool.fetch(PageId(pid)));
+        }
+        put_u64(&mut pool.fetch_mut(PageId(3)), 0, 77);
+        assert_eq!(pool.materialized_frames(), 10);
+        let fork = pool.cow_fork().expect("no writer holds pages");
+        assert_eq!(fork.materialized_frames(), 0);
+        assert_eq!(crate::page::get_u64(&fork.fetch(PageId(3)), 0), 77);
+        assert_eq!(fork.materialized_frames(), 1);
+    }
+
+    #[test]
+    fn content_hash_reads_through_dirty_frames_and_leaves_residency_alone() {
+        let pool = BufferPool::new(disk_with_pages(10), 4);
+        put_u64(&mut pool.fetch_mut(PageId(2)), 0, 0xfeed); // dirty, resident
+        drop(pool.fetch(PageId(5))); // clean, resident
+        let resident = pool.resident_pages();
+        assert_eq!(resident, vec![PageId(2), PageId(5)]);
+
+        let hash = pool.content_hash();
+        assert_eq!(pool.resident_pages(), resident, "the scan installs nothing");
+        assert_eq!(pool.materialized_frames(), 2);
+
+        // The backend alone still holds page 2's old bytes, so a hash
+        // that skipped the dirty frame would differ.
+        let backend_only = (0..10u32).fold(FNV_OFFSET, |h, pid| {
+            let mut page = [0u8; PAGE_SIZE];
+            pool.disk.read_page(PageId(pid), &mut page);
+            fnv1a_extend(h, &page)
+        });
+        assert_ne!(hash, backend_only);
+        // Page by page through the pool: the same digest.
+        let fetched =
+            (0..10u32).fold(FNV_OFFSET, |h, pid| fnv1a_extend(h, &pool.fetch(PageId(pid))));
+        assert_eq!(hash, fetched);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use xtwig::net::{Client, ClientError, ErrorCode, Response, Server, ServerHandle,
 use xtwig::parse_xpath;
 use xtwig::service::{Catalog, CatalogOptions, ServiceOptions, TwigService};
 use xtwig::xml::tree::fig1_book_document;
+use xtwig::xml::XmlForest;
 
 struct TempDir(PathBuf);
 
@@ -398,6 +399,71 @@ fn catalog_serves_many_indexes_by_name_over_one_connection() {
     // Both indexes also expose their own metrics and stats.
     assert!(client.metrics("alpha").unwrap().contains("xtwig_queries_submitted_total"));
     assert!(client.stats("beta").unwrap().contains("\"admission_limit\""));
+
+    handle.stop();
+    join.join().unwrap();
+}
+
+/// A shelf of `n` books: `//book` answers with `n` ids.
+fn shelf_forest(n: usize) -> XmlForest {
+    let mut f = XmlForest::new();
+    let mut b = f.builder();
+    b.open("shelf");
+    for i in 0..n {
+        b.leaf("book", &format!("b{i}"));
+    }
+    b.close();
+    b.finish();
+    f
+}
+
+#[test]
+fn answers_larger_than_a_socket_buffer_do_not_stall() {
+    let dir = TempDir::new("large");
+    let engine = QueryEngine::build(
+        shelf_forest(1500),
+        EngineOptions {
+            strategies: vec![Strategy::RootPaths],
+            pool_pages: 256,
+            ..Default::default()
+        },
+    );
+    let path = dir.path("shelf.xtwig");
+    engine.persist(&path).unwrap();
+    let reference = TwigService::open(&path, ServiceOptions::default()).unwrap();
+    let twig = parse_xpath("//book").unwrap();
+    let expected: Vec<u64> =
+        reference.execute(&twig, Strategy::RootPaths).unwrap().ids.iter().copied().collect();
+    assert_eq!(expected.len(), 1500);
+    let encoded = Response::Answer {
+        strategy: "RP".into(),
+        plan: String::new(),
+        from_cache: false,
+        micros: 0,
+        ids: expected.clone(),
+    }
+    .encode()
+    .1
+    .len();
+    assert!(encoded > 8 * 1024, "the answer must span more than 8 KiB ({encoded} bytes)");
+
+    let catalog = Catalog::new(CatalogOptions::default());
+    catalog.register("shelf", &path);
+    let (handle, join) = start_server(catalog);
+    let mut client = connect(&handle);
+    // Attach the index outside the timed loop.
+    assert_eq!(client.query("shelf", "//book", "RP").unwrap().ids, expected);
+
+    // A frame split across two writes on a Nagle socket waits out the
+    // peer's delayed ACK, about 40 ms per answer (1.6 s for 40); a
+    // frame sent whole on a no-delay socket takes microseconds.
+    let started = std::time::Instant::now();
+    for _ in 0..40 {
+        let wire = client.query("shelf", "//book", "RP").unwrap();
+        assert_eq!(wire.ids, expected);
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < std::time::Duration::from_secs(1), "40 large answers took {elapsed:?}");
 
     handle.stop();
     join.join().unwrap();
